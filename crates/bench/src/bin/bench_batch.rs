@@ -16,11 +16,11 @@
 //! * **Batched detector forward vs batch size** — one `[n, c, h, w]`
 //!   forward for the same n sweep, reporting per-image wall time and
 //!   GFLOP/s, with batch=1 pinned bit-identical to the per-vehicle
-//!   `forward_with` path. Reported honestly: on this one-core host the
-//!   detector's conv GEMMs are already wide at n = 1 (thousands of
-//!   im2col columns per image), so per-image time is roughly flat —
-//!   scalar im2col scales linearly with n and the batch dimension
-//!   mostly buys scheduling slack, not conv GEMM throughput. The
+//!   `forward_with` path. Reported honestly: the conv lowering works
+//!   one cache-sized column panel of one image at a time, so a batch
+//!   is just n times as many `(image, panel)` tasks over weights that
+//!   already sit in L1 — per-image time is roughly flat and the batch
+//!   dimension buys scheduling slack, not conv GEMM throughput. The
 //!   amortization case above is the head/linear regime, not conv.
 //! * **int8 vs f32 matmul microkernel** — single-thread speedup of the
 //!   i8×i8→i32 widening lane kernel over the f32 FMA kernel on a

@@ -222,7 +222,9 @@ fn main() {
     }
     println!();
 
-    // -- conv2d: direct reference, then im2col+matmul over threads. ---
+    // -- conv2d: direct reference, then the panel-fused GEMM lowering
+    // over threads (rows keep the `conv2d_im2col_*` name the committed
+    // baseline is keyed by). ---
     let input = fill([1, 16, conv_side, conv_side]);
     let weight = fill([32, 16, 3, 3]);
     let bias = fill([32]);

@@ -20,13 +20,32 @@ pub enum Activation {
 }
 
 impl Activation {
-    pub(crate) fn apply_with(self, rt: &Runtime, t: &Tensor) -> Tensor {
+    fn apply_with(self, rt: &Runtime, t: &Tensor) -> Tensor {
         match self {
             Activation::None => t.clone(),
             Activation::Relu => ops::relu_with(rt, t),
             Activation::LeakyRelu(a) => ops::leaky_relu_with(rt, t, a),
             Activation::Sigmoid => ops::sigmoid_with(rt, t),
             Activation::Tanh => ops::tanh_with(rt, t),
+        }
+    }
+
+    /// [`Activation::apply_with`] for a tensor the caller owns (a
+    /// layer's freshly computed output): ReLU and LeakyReLU rewrite it
+    /// in place and `None` hands it back, so no second copy of the
+    /// activation map is made.
+    pub(crate) fn apply_owned(self, rt: &Runtime, mut t: Tensor) -> Tensor {
+        match self {
+            Activation::None => t,
+            Activation::Relu => {
+                ops::relu_inplace_with(rt, &mut t);
+                t
+            }
+            Activation::LeakyRelu(a) => {
+                ops::leaky_relu_inplace_with(rt, &mut t, a);
+                t
+            }
+            Activation::Sigmoid | Activation::Tanh => self.apply_with(rt, &t),
         }
     }
 
@@ -144,7 +163,7 @@ impl Layer {
         match self {
             Layer::Conv2d { weight, bias, stride, pad, activation } => {
                 let out = ops::conv2d_with(rt, input, weight, bias.as_ref(), *stride, *pad)?;
-                Ok(activation.apply_with(rt, &out))
+                Ok(activation.apply_owned(rt, out))
             }
             Layer::MaxPool2d { window, stride } => {
                 ops::max_pool2d_with(rt, input, *window, *stride)
@@ -159,7 +178,7 @@ impl Layer {
             }
             Layer::Linear { weight, bias, activation } => {
                 let out = ops::linear_with(rt, input, weight, bias.as_ref())?;
-                Ok(activation.apply_with(rt, &out))
+                Ok(activation.apply_owned(rt, out))
             }
             Layer::Activate(a) => Ok(a.apply_with(rt, input)),
         }
@@ -379,6 +398,24 @@ mod tests {
         assert_eq!(out.as_slice(), &[0.0, 1.0]);
         let out = Layer::Activate(Activation::LeakyRelu(0.5)).forward(&input).unwrap();
         assert_eq!(out.as_slice(), &[-0.5, 1.0]);
+    }
+
+    #[test]
+    fn owned_activation_matches_borrowed_and_none_is_free() {
+        let rt = Runtime::serial();
+        let t = Tensor::from_vec([1, 4], vec![-2.0, -0.5, 0.5, 2.0]).unwrap();
+        for a in [
+            Activation::None,
+            Activation::Relu,
+            Activation::LeakyRelu(0.1),
+            Activation::Sigmoid,
+            Activation::Tanh,
+        ] {
+            assert_eq!(a.apply_owned(&rt, t.clone()), a.apply_with(&rt, &t), "{a:?}");
+        }
+        let owned = Tensor::zeros([1, 4]);
+        let storage = owned.storage_ptr();
+        assert_eq!(Activation::None.apply_owned(&rt, owned).storage_ptr(), storage);
     }
 
     #[test]

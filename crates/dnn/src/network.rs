@@ -127,8 +127,8 @@ impl Network {
     ///
     /// Every layer kind is batch-agnostic, so the whole batch flows
     /// through each kernel as one call — a batch of `n` detector
-    /// frames shares one GEMM per conv layer instead of re-streaming
-    /// the weights `n` times. Thanks to the tensor crate's
+    /// frames is one parallel region of `(image, panel)` tasks per conv
+    /// layer instead of `n` regions. Thanks to the tensor crate's
     /// column-position-invariant GEMM tails, the output for image `b`
     /// is **bit-identical** to running that image alone through
     /// [`Network::forward_with`].

@@ -528,11 +528,11 @@ impl QuantNetwork {
         match (layer, &self.qweights[i]) {
             (Layer::Conv2d { bias, stride, pad, activation, .. }, Some(qw)) if int8 => {
                 let out = quant_conv2d_with(rt, x, qw, bias.as_ref(), *stride, *pad)?;
-                Ok(activation.apply_with(rt, &out))
+                Ok(activation.apply_owned(rt, out))
             }
             (Layer::Linear { bias, activation, .. }, Some(qw)) if int8 => {
                 let out = quant_linear_with(rt, x, qw, bias.as_ref())?;
-                Ok(activation.apply_with(rt, &out))
+                Ok(activation.apply_owned(rt, out))
             }
             _ => layer.forward_with(rt, x),
         }

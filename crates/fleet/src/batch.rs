@@ -2,10 +2,12 @@
 //!
 //! N vehicle cells running the same detector variant produce N
 //! identical-shape `[1, c, side, side]` inputs per frame. Running them
-//! one at a time leaves the GEMM with a single image's worth of
-//! columns; stacking them into one `[n, c, side, side]` batch amortizes
-//! the weight-side cache traffic across vehicles — the paper's
-//! accelerator-utilization argument (§5) applied at fleet level.
+//! one at a time opens every layer's parallel region with a single
+//! image's worth of work; stacking them into one `[n, c, side, side]`
+//! batch runs each layer once per wave over the shared weights — a conv
+//! layer becomes n times as many `(image, column-panel)` tasks in one
+//! region — the paper's accelerator-utilization argument (§5) applied
+//! at fleet level.
 //!
 //! Determinism: requests are grouped by *every* parameter that could
 //! change the output (model variant, grid, decode thresholds) in

@@ -233,7 +233,7 @@ fn crop_box(frame: &GrayImage, bbox: &BBox, scale: f32) -> GrayImage {
     let ch = (bbox.h * scale * h).max(2.0) as usize;
     let x = (bbox.cx * w - cw as f32 / 2.0) as isize;
     let y = (bbox.cy * h - ch as f32 / 2.0) as isize;
-    frame.crop(x, y, cw, ch).resize(CROP_SIDE, CROP_SIDE)
+    frame.crop_resize(x, y, cw, ch, CROP_SIDE, CROP_SIDE)
 }
 
 /// Crops a normalized box at native resolution (template tracking).

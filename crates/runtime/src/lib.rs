@@ -155,9 +155,9 @@ impl Runtime {
     }
 
     /// Like [`Runtime::run`], but each worker first builds a private
-    /// state with `init` and threads it through every task it executes
-    /// — the hook the conv2d kernel uses to reuse one im2col scratch
-    /// buffer per worker instead of allocating per batch image.
+    /// state with `init` and threads it through every task it executes,
+    /// so a kernel can reuse one scratch buffer per worker instead of
+    /// allocating per task.
     pub fn run_with_state<S>(
         &self,
         n_tasks: usize,

@@ -9,6 +9,14 @@ fn elementwise_span(len: usize, threads: usize) -> usize {
     len.div_ceil(4 * threads).max(1)
 }
 
+/// Runs `kernel` over `t`'s elements in place, one contiguous span per
+/// pool task. A uniquely-owned tensor is rewritten without a copy.
+fn for_spans(rt: &Runtime, t: &mut Tensor, kernel: impl Fn(&mut [f32]) + Sync) {
+    let rt = rt.for_work(t.len());
+    let span = elementwise_span(t.len(), rt.threads());
+    rt.par_chunks_mut(t.as_mut_slice(), span, |_, chunk| kernel(chunk));
+}
+
 /// Rectified linear unit: `max(0, x)` element-wise.
 ///
 /// # Examples
@@ -32,10 +40,16 @@ pub fn relu_with(rt: &Runtime, t: &Tensor) -> Tensor {
 /// is FMA-free, so every backend is bit-identical.
 pub fn relu_isa(rt: &Runtime, t: &Tensor, isa: Isa) -> Tensor {
     let mut out = t.clone();
-    let rt = rt.for_work(out.len());
-    let span = elementwise_span(out.len(), rt.threads());
-    rt.par_chunks_mut(out.as_mut_slice(), span, |_, chunk| simd::relu(isa, chunk));
+    for_spans(rt, &mut out, |chunk| simd::relu(isa, chunk));
     out
+}
+
+/// [`relu_with`] applied in place: a uniquely-owned tensor (a freshly
+/// computed layer output) is rewritten without the copy that
+/// [`relu_with`]'s clone-then-detach costs.
+pub fn relu_inplace_with(rt: &Runtime, t: &mut Tensor) {
+    let isa = simd::active();
+    for_spans(rt, t, |chunk| simd::relu(isa, chunk));
 }
 
 /// Leaky ReLU with negative slope `alpha`, the activation YOLO uses
@@ -54,12 +68,14 @@ pub fn leaky_relu_with(rt: &Runtime, t: &Tensor, alpha: f32) -> Tensor {
 /// kernel is FMA-free, so every backend is bit-identical.
 pub fn leaky_relu_isa(rt: &Runtime, t: &Tensor, alpha: f32, isa: Isa) -> Tensor {
     let mut out = t.clone();
-    let rt = rt.for_work(out.len());
-    let span = elementwise_span(out.len(), rt.threads());
-    rt.par_chunks_mut(out.as_mut_slice(), span, |_, chunk| {
-        simd::leaky_relu(isa, chunk, alpha);
-    });
+    for_spans(rt, &mut out, |chunk| simd::leaky_relu(isa, chunk, alpha));
     out
+}
+
+/// [`leaky_relu_with`] applied in place (see [`relu_inplace_with`]).
+pub fn leaky_relu_inplace_with(rt: &Runtime, t: &mut Tensor, alpha: f32) {
+    let isa = simd::active();
+    for_spans(rt, t, |chunk| simd::leaky_relu(isa, chunk, alpha));
 }
 
 /// Logistic sigmoid, used by the detection head to squash objectness
@@ -178,6 +194,26 @@ mod tests {
         assert_eq!(leaky_relu_with(&rt, &t, 0.1), leaky_relu(&t, 0.1));
         assert_eq!(sigmoid_with(&rt, &t), sigmoid(&t));
         assert_eq!(tanh_with(&rt, &t), tanh(&t));
+    }
+
+    #[test]
+    fn inplace_activations_match_and_reuse_owned_storage() {
+        let data: Vec<f32> = (0..21).map(|i| (i as f32 - 10.0) * 0.3).collect();
+        let t = Tensor::from_vec([3, 7], data.clone()).unwrap();
+        let rt = Runtime::new(4);
+        let mut owned = Tensor::from_vec([3, 7], data.clone()).unwrap();
+        let storage = owned.storage_ptr();
+        relu_inplace_with(&rt, &mut owned);
+        assert_eq!(owned, relu(&t));
+        assert_eq!(owned.storage_ptr(), storage, "uniquely owned: no copy");
+        let mut owned = Tensor::from_vec([3, 7], data).unwrap();
+        leaky_relu_inplace_with(&rt, &mut owned, 0.1);
+        assert_eq!(owned, leaky_relu(&t, 0.1));
+        // Shared storage still copies on write: the original is untouched.
+        let mut shared = t.clone();
+        relu_inplace_with(&rt, &mut shared);
+        assert_eq!(shared, relu(&t));
+        assert!(t.iter().any(|&v| v < 0.0));
     }
 
     #[test]

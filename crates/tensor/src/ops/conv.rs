@@ -1,35 +1,37 @@
-use super::linear::matmul_into;
+use super::linear::gemm_rows;
 use super::out_extent;
 use adsim_runtime::Runtime;
 use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::simd::{self, Isa};
 use crate::{Result, Tensor, TensorError};
 
 thread_local! {
-    /// Reusable im2col / GEMM-output scratch for [`conv2d_isa`].
-    ///
-    /// Batched convolutions need `k·n·cols_n`-sized staging buffers that
-    /// exceed the allocator's mmap threshold, so allocating them fresh
-    /// per layer costs a page-fault sweep over tens of megabytes —
-    /// which is what used to make per-image latency *rise* with batch
-    /// size. Keeping one warm buffer pair per thread turns that into a
-    /// plain memset over already-mapped pages. Contents never survive a
-    /// call (both buffers are re-zeroed), so results are unaffected.
-    static CONV_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Reusable `[k, NC]` column-panel scratch for [`conv2d_isa`]: at
+    /// most [`PANEL_BYTES`] (one 16-column panel for very deep
+    /// kernels), fully overwritten by every pack, so contents never
+    /// survive a task and results are unaffected.
+    static CONV_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Zeroes and returns the first `len` elements of `buf`.
-fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    buf.clear();
-    buf.resize(len, 0.0);
-    &mut buf[..]
+/// Byte budget of one packed `[k, NC]` column panel: small enough to
+/// stay cache-resident next to the (L1-sized) weight matrix while
+/// every output-row block consumes it.
+const PANEL_BYTES: usize = 128 * 1024;
+
+/// Column-panel width `NC` for a conv with `k = c_in·kh·kw`: the widest
+/// multiple of 16 output positions (whole vector tiles) whose `[k, NC]`
+/// panel fits [`PANEL_BYTES`], floored at one tile.
+fn conv_panel(k: usize) -> usize {
+    (PANEL_BYTES / (4 * k) / 16).max(1) * 16
 }
 
 /// 2-D convolution (really cross-correlation, as in every DNN framework)
-/// of an NCHW `input` with an OIHW `weight`, implemented as im2col
-/// followed by a matrix multiply — the same lowering cuDNN and the
-/// paper's FPGA processing elements use.
+/// of an NCHW `input` with an OIHW `weight`, lowered to a matrix
+/// multiply over im2col columns — the same lowering cuDNN and the
+/// paper's FPGA processing elements use — one cache-sized column panel
+/// at a time (see [`conv2d_isa`]).
 ///
 /// * `input`: `[n, c_in, h, w]`
 /// * `weight`: `[c_out, c_in, kh, kw]`
@@ -81,22 +83,22 @@ pub fn conv2d_with(
 
 /// [`conv2d`] on a worker pool and an explicit SIMD backend.
 ///
-/// Batches are **column-appended**: every image's im2col columns land
-/// in one `[k, n·h_out·w_out]` matrix (image `b` owning the column
-/// band `b·cols_n..(b+1)·cols_n`) and a single
-/// `[c_out, k] × [k, n·cols_n]` GEMM covers the whole batch, so the
-/// weight matrix streams through the cache **once per batch** instead
-/// of once per image — the weight-traffic amortization the fleet's
-/// cross-vehicle batched inference is built on. The GEMM runs on the
-/// `simd` lane microkernels (im2col itself stays scalar — it is a pure
-/// memory permutation) and parallelizes over output-row blocks of the
-/// combined matrix, so wider batches also mean better core utilization
-/// at small `c_out`.
+/// The lowering is **panel-fused**: the `[k, h_out·w_out]` im2col
+/// matrix (`k = c_in·kh·kw`) is never materialised. Each image's output
+/// positions are cut into column panels of `NC` positions (a multiple
+/// of 16 sized so a `[k, NC]` panel stays cache-resident); one task
+/// packs its panel straight from the image into thread-local scratch,
+/// runs the `simd` lane microkernels over every `c_out` row block
+/// while the panel is hot, and adds the bias on the same tile. A batch
+/// is simply `n` times as many `(image, panel)` tasks, handed to the
+/// pool with their disjoint output rows.
 ///
-/// Because an output element's k-accumulation order is fixed and the
-/// lane kernels are column-position-invariant (see `simd`), the result
-/// for image `b` in a batch of any size is **bit-identical** to
-/// running that image alone — and identical on every thread count.
+/// Every output element is still one FMA chain over `k` in increasing
+/// order starting from zero, with the bias added after accumulation,
+/// and the lane kernels are column-position-invariant (see `simd`), so
+/// the result does not depend on the panel width, the thread count or
+/// the batch an image rides in: image `b` of any batch is
+/// **bit-identical** to running that image alone.
 ///
 /// # Errors
 ///
@@ -115,52 +117,55 @@ pub fn conv2d_isa(
     let (c_out, wc_in, kh, kw) = weight.shape().as_nchw()?;
     validate_conv_args(c_in, wc_in, bias, c_out, stride)?;
     let (h_out, w_out) = conv_output_hw(h, w, kh, kw, stride, pad)?;
+    let sweep = Sweep { c_in, h, w, kh, kw, stride, pad, w_out };
 
     // OIHW weight data is already laid out as [c_out, c_in*kh*kw].
     let k = c_in * kh * kw;
     let cols_n = h_out * w_out;
-    let plane = c_out * cols_n;
     let _sp = adsim_trace::span("tensor.conv2d").with_cost(
         2 * (n * c_out * k * cols_n) as u64,
-        4 * (input.len() + weight.len() + n * plane) as u64,
+        4 * (input.len() + weight.len() + n * c_out * cols_n) as u64,
     );
     let mut out = Tensor::zeros([n, c_out, h_out, w_out]);
     let rt = rt.for_work(2 * n * c_out * k * cols_n);
-    let total_cols = n * cols_n;
-    CONV_SCRATCH.with_borrow_mut(|(cols_buf, gemm_buf)| {
-        let cols = zeroed(cols_buf, k * total_cols);
-        for b in 0..n {
-            im2col_into(
-                input, b, kh, kw, stride, pad, h_out, w_out, b * cols_n, total_cols, cols,
-            );
+    let nc = conv_panel(k);
+    let panels = cols_n.div_ceil(nc);
+    // Task `b·panels + j` owns columns `j·nc..` of all `c_out` planes
+    // of image `b`: disjoint `&mut` rows, so workers need no locking.
+    let mut tasks: Vec<Vec<&mut [f32]>> =
+        (0..n * panels).map(|_| Vec::with_capacity(c_out)).collect();
+    for (p, plane) in out.as_mut_slice().chunks_mut(cols_n).enumerate() {
+        let first = p / c_out * panels;
+        for (task, rows) in tasks[first..first + panels].iter_mut().zip(plane.chunks_mut(nc)) {
+            task.push(rows);
         }
-        if n == 1 {
-            // Single image: the GEMM output layout already is the NCHW
-            // plane, so no scatter pass is needed.
-            matmul_into(rt, isa, weight.as_slice(), cols, out.as_mut_slice(), c_out, k, cols_n);
-        } else {
-            // One GEMM over the appended columns, then scatter the
-            // [c_out, n·cols_n] product into [n, c_out, cols_n] planes (a
-            // pure copy — the arithmetic all happened in the GEMM).
-            let gemm_out = zeroed(gemm_buf, c_out * total_cols);
-            matmul_into(rt, isa, weight.as_slice(), cols, gemm_out, c_out, k, total_cols);
-            let dst = out.as_mut_slice();
-            for b in 0..n {
-                for oc in 0..c_out {
-                    let src = &gemm_out[oc * total_cols + b * cols_n..][..cols_n];
-                    dst[(b * c_out + oc) * cols_n..][..cols_n].copy_from_slice(src);
-                }
+    }
+    let (images, wv) = (input.as_slice(), weight.as_slice());
+    let image_len = c_in * h * w;
+    let bias = bias.map(Tensor::as_slice);
+    rt.par_chunks_mut(&mut tasks, 1, |t, task| {
+        let rows = &mut task[0];
+        let (b, c0) = (t / panels, t % panels * nc);
+        let cw = rows[0].len();
+        CONV_SCRATCH.with_borrow_mut(|scratch| {
+            if scratch.len() < k * cw {
+                scratch.resize(k * cw, 0.0);
+            }
+            let panel = &mut scratch[..k * cw];
+            im2col_into(&images[b * image_len..][..image_len], &sweep, c0..c0 + cw, panel, cw);
+            gemm_rows(isa, wv, k, panel, cw, rows);
+        });
+        if let Some(bias) = bias {
+            for (row, &bias_ch) in rows.iter_mut().zip(bias) {
+                simd::add_scalar(isa, row, bias_ch);
             }
         }
     });
-    if let Some(bias) = bias {
-        add_channel_bias(&mut out, bias, isa);
-    }
     Ok(out)
 }
 
 /// Reference direct (sextuple-loop) convolution, used to validate the
-/// im2col path in tests. Same contract as [`conv2d`].
+/// GEMM lowering in tests. Same contract as [`conv2d`].
 ///
 /// # Errors
 ///
@@ -223,16 +228,18 @@ pub fn im2col(
 ) -> Result<Tensor> {
     let (_, c_in, h, w) = input.shape().as_nchw()?;
     let (h_out, w_out) = conv_output_hw(h, w, kh, kw, stride, pad)?;
+    let sweep = Sweep { c_in, h, w, kh, kw, stride, pad, w_out };
     let cols_n = h_out * w_out;
     let mut cols = Tensor::zeros([c_in * kh * kw, cols_n]);
-    im2col_into(input, 0, kh, kw, stride, pad, h_out, w_out, 0, cols_n, cols.as_mut_slice());
+    let image = &input.as_slice()[..c_in * h * w];
+    im2col_into(image, &sweep, 0..cols_n, cols.as_mut_slice(), cols_n);
     Ok(cols)
 }
 
 /// [`im2col`] over a whole `[n, c, h, w]` batch with column appending:
 /// the result is `[c·kh·kw, n·h_out·w_out]` where image `b` owns the
 /// column band `b·h_out·w_out..(b+1)·h_out·w_out` — the layout the
-/// batched conv GEMM consumes, exposed for the quantized conv path.
+/// quantized conv GEMM consumes.
 ///
 /// # Errors
 ///
@@ -246,63 +253,75 @@ pub fn im2col_batched(
 ) -> Result<Tensor> {
     let (n, c_in, h, w) = input.shape().as_nchw()?;
     let (h_out, w_out) = conv_output_hw(h, w, kh, kw, stride, pad)?;
+    let sweep = Sweep { c_in, h, w, kh, kw, stride, pad, w_out };
     let cols_n = h_out * w_out;
     let total_cols = n * cols_n;
     let mut cols = Tensor::zeros([c_in * kh * kw, total_cols]);
     let dst = cols.as_mut_slice();
-    for b in 0..n {
-        im2col_into(input, b, kh, kw, stride, pad, h_out, w_out, b * cols_n, total_cols, dst);
+    for (b, image) in input.as_slice().chunks(c_in * h * w).enumerate() {
+        im2col_into(image, &sweep, 0..cols_n, &mut dst[b * cols_n..], total_cols);
     }
     Ok(cols)
 }
 
-/// Unrolls image `batch` of `input` into the column band starting at
-/// `col_base` of `out`, a zeroed `[c_in*kh*kw, row_stride]` matrix —
-/// the allocation-free core of [`im2col`]. With `col_base = b·cols_n`
-/// and `row_stride = n·cols_n` the bands of a whole batch append into
-/// one matrix for the batched GEMM; a single image passes `0, cols_n`.
-#[allow(clippy::too_many_arguments)]
-fn im2col_into(
-    input: &Tensor,
-    batch: usize,
+/// Geometry of one convolution window sweep over a `[c_in, h, w]` image.
+struct Sweep {
+    c_in: usize,
+    h: usize,
+    w: usize,
     kh: usize,
     kw: usize,
     stride: usize,
     pad: usize,
-    h_out: usize,
     w_out: usize,
-    col_base: usize,
-    row_stride: usize,
-    out: &mut [f32],
-) {
-    let (_, c_in, h, w) = input
-        .shape()
-        .as_nchw()
-        .expect("caller validated rank");
-    let cols_n = h_out * w_out;
-    debug_assert!(col_base + cols_n <= row_stride);
-    debug_assert_eq!(out.len(), c_in * kh * kw * row_stride);
-    let data = input.as_slice();
-    let in_plane = h * w;
-    let in_base = batch * c_in * in_plane;
+}
+
+/// Unrolls output positions `cols` (flattened `oy·w_out + ox`) of one
+/// `[c_in, h, w]` image into `out`: row `r` of the `[c_in·kh·kw,
+/// cols.len()]` block lands at `out[r·row_stride..]`. A range may start
+/// and end mid-output-row. **Every** element of the block is written —
+/// padding taps as explicit zeros — so `out` needs no clearing; the
+/// in-bounds run of a stride-1 row is a single `copy_from_slice`.
+fn im2col_into(image: &[f32], g: &Sweep, cols: Range<usize>, out: &mut [f32], row_stride: usize) {
+    let Sweep { c_in, h, w, kh, kw, stride, pad, w_out } = *g;
+    debug_assert_eq!(image.len(), c_in * h * w);
+    debug_assert!(cols.len() <= row_stride);
     for ic in 0..c_in {
+        let plane = &image[ic * h * w..][..h * w];
         for ky in 0..kh {
             for kx in 0..kw {
                 let row = (ic * kh + ky) * kw + kx;
-                let row_base = row * row_stride + col_base;
-                for oy in 0..h_out {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
+                let dst = &mut out[row * row_stride..][..cols.len()];
+                // Output columns whose tap `ox·stride + kx - pad`
+                // falls inside the image row.
+                let valid_lo = pad.saturating_sub(kx).div_ceil(stride);
+                let valid_hi = (w + pad).saturating_sub(kx).div_ceil(stride);
+                let mut c = cols.start;
+                while c < cols.end {
+                    // One output-row segment `ox0..ox1` of row `oy`.
+                    let (oy, ox0) = (c / w_out, c % w_out);
+                    let ox1 = (ox0 + cols.end - c).min(w_out);
+                    let seg = &mut dst[c - cols.start..][..ox1 - ox0];
+                    c += ox1 - ox0;
+                    let iy = oy * stride + ky;
+                    let lo = valid_lo.clamp(ox0, ox1);
+                    let hi = valid_hi.clamp(lo, ox1);
+                    if iy < pad || iy - pad >= h || lo == hi {
+                        seg.fill(0.0);
                         continue;
                     }
-                    let src_row = in_base + ic * in_plane + iy as usize * w;
-                    let dst_row = row_base + oy * w_out;
-                    for ox in 0..w_out {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                    let src = &plane[(iy - pad) * w..][..w];
+                    let (left, rest) = seg.split_at_mut(lo - ox0);
+                    let (mid, right) = rest.split_at_mut(hi - lo);
+                    left.fill(0.0);
+                    right.fill(0.0);
+                    let ix0 = lo * stride + kx - pad;
+                    if stride == 1 {
+                        mid.copy_from_slice(&src[ix0..ix0 + mid.len()]);
+                    } else {
+                        for (d, &v) in mid.iter_mut().zip(src[ix0..].iter().step_by(stride)) {
+                            *d = v;
                         }
-                        out[dst_row + ox] = data[src_row + ix as usize];
                     }
                 }
             }

@@ -27,7 +27,7 @@ fn col_panel(k: usize, elem: usize) -> usize {
 /// Matrix multiply of a `[m, k]` tensor by a `[k, n]` tensor.
 ///
 /// This is the compute core of both the fully-connected layers and the
-/// im2col convolution lowering — the operation the paper notes consumes
+/// convolution lowering — the operation the paper notes consumes
 /// most machine-learning execution time and parallelizes onto GPUs (§6).
 /// Runs serially; [`matmul_with`] is the multicore entry point.
 ///
@@ -111,11 +111,40 @@ pub fn matmul_isa(rt: &Runtime, a: &Tensor, b: &Tensor, isa: Isa) -> Result<Tens
     Ok(out)
 }
 
-/// The raw-slice matmul core shared with the conv2d lowering:
-/// `ov[m × n] += av[m × k] · bv[k × n]` (callers pass zeroed output).
-/// Row blocks of `MR` rows go to the pool's workers; within a block
-/// the `simd` lane microkernels accumulate one `KC`-row panel of B at
-/// a time while it is cache-resident.
+/// `rows[r][j] += Σ_kk av[r·k + kk] · bv[kk·ldb + j]` over disjoint
+/// output row slices of equal width — the block GEMM shared by the
+/// conv2d lowering (`bv` a packed column panel) and wide [`matmul_into`]
+/// (`bv` a column window of B). `MR`-row blocks run [`simd::gemm4`],
+/// remainder rows [`simd::gemm1`], one `KC`-row panel of `bv` at a time
+/// so it is reused by every row block while cache-resident.
+pub(crate) fn gemm_rows(
+    isa: Isa,
+    av: &[f32],
+    k: usize,
+    bv: &[f32],
+    ldb: usize,
+    rows: &mut [&mut [f32]],
+) {
+    for k0 in (0..k).step_by(KC) {
+        let k1 = (k0 + KC).min(k);
+        for (blk, orows) in rows.chunks_mut(MR).enumerate() {
+            let i0 = blk * MR;
+            if let [o0, o1, o2, o3] = orows {
+                simd::gemm4(isa, &av[i0 * k..], k, k0, k1, bv, ldb, o0, o1, o2, o3);
+            } else {
+                for (r, orow) in orows.iter_mut().enumerate() {
+                    simd::gemm1(isa, &av[(i0 + r) * k..], k0, k1, bv, ldb, orow);
+                }
+            }
+        }
+    }
+}
+
+/// The raw-slice matmul core: `ov[m × n] += av[m × k] · bv[k × n]`
+/// (callers pass zeroed output). Row blocks of `MR` rows go to the
+/// pool's workers; within a block the `simd` lane microkernels
+/// accumulate one `KC`-row panel of B at a time while it is
+/// cache-resident.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_into(
     rt: Runtime,
@@ -135,44 +164,18 @@ pub(crate) fn matmul_into(
     }
     let nc = col_panel(k, 4);
     if rt.threads() == 1 && n > nc {
-        // Single-thread wide GEMM — the batched-inference shape, where
-        // B is an appended-columns im2col matrix much larger than L2.
-        // Walk column panels outermost so one `KC × NC` slab of B is
-        // fetched once and stays cache-resident while *every* row
-        // block consumes it, instead of re-streaming all of B per row
-        // block. Per output element the k-panel order and lane
-        // position are unchanged (`NC` is a multiple of the 16-column
-        // tile), so results are bit-identical to the unpanelled
-        // schedule.
+        // Single-thread GEMM whose B is much larger than L2 (only wide
+        // plain `matmul_isa` calls get here). Walk column panels
+        // outermost so one `KC × NC` slab of B is fetched once and
+        // stays cache-resident while *every* row block consumes it,
+        // instead of re-streaming all of B per row block. Per output
+        // element the k-panel order and lane position are unchanged
+        // (`NC` is a multiple of the 16-column tile), so results are
+        // bit-identical to the unpanelled schedule.
         for c0 in (0..n).step_by(nc) {
             let c1 = (c0 + nc).min(n);
-            for k0 in (0..k).step_by(KC) {
-                let k1 = (k0 + KC).min(k);
-                let mut i0 = 0;
-                while i0 + MR <= m {
-                    let (o0, rest) = ov[i0 * n..].split_at_mut(n);
-                    let (o1, rest) = rest.split_at_mut(n);
-                    let (o2, rest) = rest.split_at_mut(n);
-                    simd::gemm4(
-                        isa,
-                        &av[i0 * k..],
-                        k,
-                        k0,
-                        k1,
-                        &bv[c0..],
-                        n,
-                        &mut o0[c0..c1],
-                        &mut o1[c0..c1],
-                        &mut o2[c0..c1],
-                        &mut rest[c0..c1],
-                    );
-                    i0 += MR;
-                }
-                for r in i0..m {
-                    let orow = &mut ov[r * n + c0..r * n + c1];
-                    simd::gemm1(isa, &av[r * k..], k0, k1, &bv[c0..], n, orow);
-                }
-            }
+            let mut rows: Vec<&mut [f32]> = ov.chunks_mut(n).map(|r| &mut r[c0..c1]).collect();
+            gemm_rows(isa, av, k, &bv[c0..], n, &mut rows);
         }
         return;
     }

@@ -12,8 +12,8 @@ mod norm;
 mod pool;
 
 pub use activation::{
-    leaky_relu, leaky_relu_isa, leaky_relu_with, relu, relu_isa, relu_with, sigmoid, sigmoid_with,
-    softmax, softmax_with, tanh, tanh_with,
+    leaky_relu, leaky_relu_inplace_with, leaky_relu_isa, leaky_relu_with, relu, relu_inplace_with,
+    relu_isa, relu_with, sigmoid, sigmoid_with, softmax, softmax_with, tanh, tanh_with,
 };
 pub use conv::{conv2d, conv2d_direct, conv2d_isa, conv2d_with, im2col, im2col_batched};
 pub use linear::{

@@ -160,27 +160,37 @@ fn pool2d(
                         simd::scale_shift(isa, drow, 1.0 / (window * window) as f32, 0.0);
                     }
                 }
+            } else if let PoolKind::Max = kind {
+                // Strided max: a lane-wide vertical max over the
+                // window's rows, then a short horizontal max per
+                // output. Max is order-free on finite inputs, so this
+                // equals the per-element `(ky, kx)` scan bit for bit.
+                let span = (w_out - 1) * stride + window;
+                let mut colmax = vec![0.0f32; span];
+                for (oy, drow) in dplane.chunks_mut(w_out).enumerate() {
+                    let row = sbase + oy * stride * w;
+                    colmax.copy_from_slice(&src[row..row + span]);
+                    for ky in 1..window {
+                        simd::max_assign(isa, &mut colmax, &src[row + ky * w..][..span]);
+                    }
+                    for (ox, d) in drow.iter_mut().enumerate() {
+                        let taps = &colmax[ox * stride..][..window];
+                        *d = taps.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    }
+                }
             } else {
+                // Strided average keeps the per-element loop: its
+                // `(ky, kx)` summation order is part of the result.
                 for oy in 0..h_out {
                     for ox in 0..w_out {
-                        let mut acc = match kind {
-                            PoolKind::Max => f32::NEG_INFINITY,
-                            PoolKind::Avg => 0.0,
-                        };
+                        let mut acc = 0.0;
                         for ky in 0..window {
                             let row = sbase + (oy * stride + ky) * w + ox * stride;
                             for kx in 0..window {
-                                let v = src[row + kx];
-                                match kind {
-                                    PoolKind::Max => acc = acc.max(v),
-                                    PoolKind::Avg => acc += v,
-                                }
+                                acc += src[row + kx];
                             }
                         }
-                        if let PoolKind::Avg = kind {
-                            acc /= (window * window) as f32;
-                        }
-                        dplane[oy * w_out + ox] = acc;
+                        dplane[oy * w_out + ox] = acc / (window * window) as f32;
                     }
                 }
             }

@@ -15,8 +15,9 @@
 //! the backend's own `mul_add_s` (fused where `mul_add` fuses), so an
 //! output element's rounding depends only on its k-order — never on
 //! which column tile it happened to land in. That position-invariance
-//! is what pins the batched conv path (which appends images as extra
-//! columns of one GEMM) bit-identical to the per-image path.
+//! is what pins the conv lowering (which cuts each image's output
+//! positions into column panels) bit-identical across panel widths,
+//! thread counts and batch sizes.
 
 macro_rules! lane_kernels {
     ($(#[$attr:meta])*) => {

@@ -32,8 +32,8 @@
 //!   `k` is unchanged, so results agree with the scalar backend to
 //!   ≤1e-5 relative error (pinned by `tests/simd_dispatch.rs`), and a
 //!   given backend produces bit-identical values for an output element
-//!   regardless of its column position — the property the batched conv
-//!   path (images appended as extra GEMM columns) relies on.
+//!   regardless of its column position — the property the conv
+//!   lowering (any panel cut, any batch) relies on.
 //! * The int8 GEMM kernels ([`gemm4_i8`] / [`gemm1_i8`]) accumulate
 //!   i8×i8 products exactly in `i32`: **bit-identical** across
 //!   backends, tilings and batch layouts by construction.

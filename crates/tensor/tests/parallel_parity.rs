@@ -85,6 +85,9 @@ fn conv2d_parity_over_geometry_grid() {
         (8, 1, 6, 6, 2, 2, 2, 0),
         (3, 4, 10, 8, 6, 5, 2, 2),
         (1, 8, 12, 12, 8, 1, 1, 0),
+        // More output positions than one column panel, cut mid-row.
+        (1, 3, 37, 41, 4, 3, 1, 1),
+        (2, 4, 45, 39, 3, 5, 2, 2),
     ];
     for (n, c_in, h, w, c_out, kk, stride, pad) in cases {
         let input = fill([n, c_in, h, w]);

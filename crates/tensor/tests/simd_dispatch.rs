@@ -149,7 +149,7 @@ fn activations_are_bit_identical_across_backends() {
 #[test]
 fn pooling_is_bit_identical_across_backends() {
     let t = fill([2, 3, 19, 21]);
-    for (window, stride) in [(2, 1), (3, 1), (2, 2), (3, 2)] {
+    for (window, stride) in [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (2, 3)] {
         let max_s =
             ops::max_pool2d_isa(&Runtime::serial(), &t, window, stride, Isa::SCALAR).unwrap();
         let avg_s =
@@ -231,11 +231,11 @@ fn matmul_i8_is_bit_identical_across_backends_and_threads() {
 
 #[test]
 fn conv2d_batch_of_n_matches_n_single_image_convs_bitwise() {
-    // The batched conv appends each image's im2col columns to one GEMM;
-    // with the mul_add_s tail policy an output element's value depends
-    // only on its k-order, never its column position, so batch-N must
-    // be bit-identical to N separate batch-1 calls — on every backend
-    // and thread count.
+    // A batch is n times as many (image, panel) tasks; with the
+    // mul_add_s tail policy an output element's value depends only on
+    // its k-order, never its column position, so batch-N must be
+    // bit-identical to N separate batch-1 calls — on every backend and
+    // thread count.
     let n_imgs = 3;
     let input = fill([n_imgs, 3, 13, 17]);
     let weight = fill([5, 3, 3, 3]);
@@ -267,6 +267,176 @@ fn conv2d_batch_of_n_matches_n_single_image_convs_bitwise() {
                              isa={}: {x} vs {y}",
                             isa.name()
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The materialising lowering `conv2d_isa` replaced, rebuilt from
+/// public pieces: appended im2col columns → one GEMM → per-channel
+/// bias add → scatter into NCHW planes.
+fn conv2d_via_im2col(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    stride: usize,
+    pad: usize,
+    isa: Isa,
+) -> Tensor {
+    let (n, _, h, w) = input.shape().as_nchw().unwrap();
+    let (c_out, c_in, kh, kw) = weight.shape().as_nchw().unwrap();
+    let h_out = ops::out_extent(h, kh, stride, pad).unwrap();
+    let w_out = ops::out_extent(w, kw, stride, pad).unwrap();
+    let cols = ops::im2col_batched(input, kh, kw, stride, pad).unwrap();
+    let total_cols = cols.shape().dim(1);
+    let cols_n = total_cols / n;
+    let w2 = weight.reshape([c_out, c_in * kh * kw]).unwrap();
+    let prod = ops::matmul_isa(&Runtime::serial(), &w2, &cols, isa).unwrap();
+    let mut out = vec![0.0f32; n * c_out * cols_n];
+    for b in 0..n {
+        for oc in 0..c_out {
+            let src = &prod.as_slice()[oc * total_cols + b * cols_n..][..cols_n];
+            let dst = &mut out[(b * c_out + oc) * cols_n..][..cols_n];
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = v + bias.as_slice()[oc];
+            }
+        }
+    }
+    Tensor::from_vec([n, c_out, h_out, w_out], out).unwrap()
+}
+
+#[test]
+fn conv2d_is_bit_identical_to_the_materialised_im2col_gemm() {
+    // The k-order contract: every output element is one FMA chain over
+    // k from zero with the bias added afterwards, whatever the panel
+    // width, thread count or batch. Panel width NC is the widest
+    // multiple of 16 with 4·k·NC ≤ 128 KiB, so the grid is chosen
+    // around it. (c_in, h, w, kernel, stride, pad):
+    let cases = [
+        (3usize, 37usize, 41usize, 3usize, 1usize, 1usize), // k=27, NC=1200 < 1517 cols, mid-row
+        (32, 13, 17, 3, 1, 1), // k=288 crosses a k-panel; NC=112, 221 cols
+        (4, 23, 19, 5, 1, 2),  // 5x5; NC=320 < 437 cols
+        (4, 23, 19, 5, 2, 2),  // 5x5 stride 2
+        (8, 70, 61, 1, 1, 0),  // 1x1; NC=4096 < 4270 cols
+        (2, 9, 5, 1, 1, 2),    // pad ≥ kernel, w_out = 9 < 16
+        (3, 11, 7, 3, 2, 0),   // stride 2, pad 0, w_out = 3
+        (3, 11, 7, 3, 2, 1),
+        (3, 11, 7, 3, 2, 2),
+        (40, 20, 20, 3, 2, 1), // k=360, NC=80 < 100 cols, stride 2
+    ];
+    for (c_in, h, w, kk, stride, pad) in cases {
+        for c_out in [1, 3, 4, 9] {
+            let weight = fill([c_out, c_in, kk, kk]);
+            let bias = fill([c_out]);
+            for n in [1, 3] {
+                let input = fill([n, c_in, h, w]);
+                for isa in [simd::active(), Isa::SCALAR] {
+                    let want = conv2d_via_im2col(&input, &weight, &bias, stride, pad, isa);
+                    for t in THREADS {
+                        let got = ops::conv2d_isa(
+                            &Runtime::new(t),
+                            &input,
+                            &weight,
+                            Some(&bias),
+                            stride,
+                            pad,
+                            isa,
+                        )
+                        .unwrap();
+                        let name = isa.name();
+                        let ctx = format!(
+                            "conv {n}x{c_in}x{h}x{w}->{c_out} k{kk} s{stride} p{pad} t={t} {name}"
+                        );
+                        assert_bits_equal(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn strided_max_pool_matches_the_per_element_scan_bitwise() {
+    // Reference: the scalar (ky, kx) scan the vector path replaced.
+    // Extents chosen so windows do not divide them.
+    for (h, w) in [(19usize, 21usize), (8, 8), (7, 33), (3, 3)] {
+        let t = fill([2, 3, h, w]);
+        for (window, stride) in [(2usize, 2usize), (3, 2), (3, 3), (2, 3)] {
+            let (h_out, w_out) = ((h - window) / stride + 1, (w - window) / stride + 1);
+            let mut want = Vec::with_capacity(6 * h_out * w_out);
+            for plane in t.as_slice().chunks(h * w) {
+                for oy in 0..h_out {
+                    for ox in 0..w_out {
+                        let mut acc = f32::NEG_INFINITY;
+                        for ky in 0..window {
+                            for kx in 0..window {
+                                acc = acc.max(plane[(oy * stride + ky) * w + ox * stride + kx]);
+                            }
+                        }
+                        want.push(acc);
+                    }
+                }
+            }
+            let want = Tensor::from_vec([2, 3, h_out, w_out], want).unwrap();
+            for isa in [simd::active(), Isa::SCALAR] {
+                for threads in THREADS {
+                    let got =
+                        ops::max_pool2d_isa(&Runtime::new(threads), &t, window, stride, isa)
+                            .unwrap();
+                    assert_bits_equal(
+                        &got,
+                        &want,
+                        &format!("max_pool {h}x{w} w={window} s={stride} t={threads}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn im2col_matches_a_per_element_gather() {
+    // im2col now copies whole in-bounds runs and writes padding as
+    // explicit zeros; pin it to the obvious per-tap gather.
+    let cases = [
+        (2usize, 6usize, 7usize, 3usize, 1usize, 1usize),
+        (3, 9, 5, 1, 1, 2),
+        (2, 11, 7, 3, 2, 2),
+        (1, 8, 9, 5, 2, 0),
+    ];
+    for (c_in, h, w, kk, stride, pad) in cases {
+        let input = fill([2, c_in, h, w]);
+        let cols = ops::im2col_batched(&input, kk, kk, stride, pad).unwrap();
+        let h_out = (h + 2 * pad - kk) / stride + 1;
+        let w_out = (w + 2 * pad - kk) / stride + 1;
+        let total = 2 * h_out * w_out;
+        assert_eq!(cols.shape().dims(), &[c_in * kk * kk, total]);
+        for b in 0..2 {
+            for ic in 0..c_in {
+                for ky in 0..kk {
+                    for kx in 0..kk {
+                        let row = (ic * kk + ky) * kk + kx;
+                        for oy in 0..h_out {
+                            for ox in 0..w_out {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                let inside =
+                                    iy >= 0 && ix >= 0 && iy < h as isize && ix < w as isize;
+                                let want = if inside {
+                                    input.at(&[b, ic, iy as usize, ix as usize])
+                                } else {
+                                    0.0
+                                };
+                                let col = b * h_out * w_out + oy * w_out + ox;
+                                assert_eq!(
+                                    cols.as_slice()[row * total + col].to_bits(),
+                                    want.to_bits(),
+                                    "k{kk} s{stride} p{pad} b={b} row={row} oy={oy} ox={ox}"
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -149,6 +149,29 @@ impl GrayImage {
         })
     }
 
+    /// `self.crop(x, y, w, h).resize(width, height)` without the
+    /// intermediate crop: only the `width`×`height` sampled pixels are
+    /// read, so the cost does not grow with the box.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either target dimension is zero.
+    pub fn crop_resize(
+        &self,
+        x: isize,
+        y: isize,
+        w: usize,
+        h: usize,
+        width: usize,
+        height: usize,
+    ) -> GrayImage {
+        assert!(width > 0 && height > 0, "resize target must be positive");
+        let (w, h) = (w.max(1), h.max(1));
+        GrayImage::from_fn(width, height, |ox, oy| {
+            self.get_clamped(x + (ox * w / width) as isize, y + (oy * h / height) as isize)
+        })
+    }
+
     /// 2× box-filter downsample, used to build pyramid octaves.
     ///
     /// Output dimensions are halved (rounded down), minimum 1.
@@ -223,6 +246,33 @@ mod tests {
         let c = img.crop(3, 0, 3, 2);
         assert_eq!(c.get(0, 0), 30);
         assert_eq!(c.get(2, 0), 30, "beyond right edge clamps");
+    }
+
+    #[test]
+    fn crop_resize_equals_crop_then_resize() {
+        let img = GrayImage::from_fn(13, 9, |x, y| (x * 17 + y * 29) as u8);
+        // Boxes hanging off each border, 1-pixel and degenerate boxes,
+        // and boxes larger than the frame; up- and down-sampling.
+        let boxes = [
+            (-4, 2, 7, 5),
+            (9, 1, 8, 4),
+            (3, -6, 5, 9),
+            (2, 5, 6, 11),
+            (6, 4, 1, 1),
+            (-3, -3, 0, 0),
+            (-5, -7, 30, 25),
+            (40, 40, 3, 3),
+            (0, 0, 13, 9),
+        ];
+        for (x, y, w, h) in boxes {
+            for (tw, th) in [(32, 32), (3, 2), (1, 1), (13, 9)] {
+                assert_eq!(
+                    img.crop_resize(x, y, w, h, tw, th),
+                    img.crop(x, y, w, h).resize(tw, th),
+                    "box ({x}, {y}, {w}, {h}) -> {tw}x{th}"
+                );
+            }
+        }
     }
 
     #[test]
