@@ -27,7 +27,7 @@
 //!   quality step-down lands ≥ 1 frame before the reactive watchdog
 //!   would have abandoned detection on the same fault schedule.
 //!
-//! Everything lands in `BENCH_anytime.json`.
+//! Everything lands in `target/bench/BENCH_anytime.json`.
 //!
 //! ```text
 //! cargo run --release -p adsim-bench --bin bench_anytime [-- --smoke]
@@ -339,9 +339,10 @@ fn main() {
         "the probe schedule must not miss more with the governor on"
     );
 
-    let json = to_json(mode, frames, n_seeds, &parity, rerun_ok, &points, &probe);
-    std::fs::write("BENCH_anytime.json", &json).expect("write BENCH_anytime.json");
-    println!("\nwrote BENCH_anytime.json ({} frontier points)", points.len());
+    adsim_bench::write_artifact(
+        "BENCH_anytime.json",
+        &to_json(mode, frames, n_seeds, &parity, rerun_ok, &points, &probe),
+    );
 }
 
 /// Hand-rolled JSON (offline policy: no serde). All values are numbers,

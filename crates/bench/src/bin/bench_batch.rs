@@ -1,39 +1,19 @@
-//! Cross-vehicle batched inference + int8 lane-path benchmark.
+//! Cross-vehicle batched inference + int8 lane-path contracts.
 //!
-//! Four measurements from this workspace's batching/quantization work:
+//! Two checks from this workspace's batching/quantization work:
 //!
-//! * **Head GEMM throughput vs batch size** — a GOTURN-scale fully
-//!   connected head (`[4096, 4096]` weights) against `[4096, n]`
-//!   stacked vehicle columns for n = 1/2/4/8/16 on a single thread.
-//!   At n = 1 this is a matrix-vector product: every weight element is
-//!   streamed from memory for one multiply, and the GEMM kernel's
-//!   column tiles degenerate to the scalar tail. Batching vehicles
-//!   reuses each weight row n times and re-engages the SIMD column
-//!   tiles, so GFLOP/s rises steeply with n — the weight-traffic
-//!   amortization that makes cross-vehicle batching worth the gather
-//!   latency (the paper's accelerator-utilization argument at fleet
-//!   level). Full mode asserts this curve increases point to point.
-//! * **Batched detector forward vs batch size** — one `[n, c, h, w]`
-//!   forward for the same n sweep, reporting per-image wall time and
-//!   GFLOP/s, with batch=1 pinned bit-identical to the per-vehicle
-//!   `forward_with` path. Reported honestly: the conv lowering works
-//!   one cache-sized column panel of one image at a time, so a batch
-//!   is just n times as many `(image, panel)` tasks over weights that
-//!   already sit in L1 — per-image time is roughly flat and the batch
-//!   dimension buys scheduling slack, not conv GEMM throughput. The
-//!   amortization case above is the head/linear regime, not conv.
-//! * **int8 vs f32 matmul microkernel** — single-thread speedup of the
-//!   i8×i8→i32 widening lane kernel over the f32 FMA kernel on a
-//!   detector-scale GEMM. Kernel timing uses the pair-packed B entry
-//!   point (`matmul_i8_packed_into`) with packing outside the timer —
-//!   the weight-side regime, where packing happens once per network —
-//!   plus the end-to-end `quant_matmul` speedup with activation
-//!   quantization, per-call B packing and dequantization all included.
+//! * **Batch=1 bit-identity** — one `[1, c, h, w]` `forward_batched`
+//!   must reproduce the per-vehicle `forward_with` path bit for bit, so
+//!   batching can never change what a vehicle sees.
 //! * **Quantization accuracy** — per-layer max-abs-error of int8 vs
 //!   f32 on the same input (local error, not accumulated drift) and
 //!   the detection-level delta after decode + NMS.
 //!
-//! Everything lands in `BENCH_batch.json`.
+//! Timing lives in perfbench: `dnn.forward_batched_ms_per_image` vs
+//! `dnn.forward_batch1_ms` for the batched forward, `tensor.linear_gflops`
+//! for the FC-head regime batching targets.
+//!
+//! Everything lands in `target/bench/BENCH_batch.json`.
 //!
 //! ```text
 //! cargo run --release -p adsim-bench --bin bench_batch [-- --smoke]
@@ -41,22 +21,16 @@
 
 use adsim_dnn::detection::{decode_grid, nms};
 use adsim_dnn::models::yolo_tiny_shared;
-use adsim_dnn::quant::{QuantNetwork, QuantTensor, quant_matmul_with};
+use adsim_dnn::quant::QuantNetwork;
 use adsim_runtime::Runtime;
-use adsim_tensor::{ops, simd, Tensor};
+use adsim_tensor::Tensor;
 use adsim_vision::GrayImage;
-use std::time::Instant;
 
 /// Deterministic workload seed (patterns below derive from it).
 const SEED: u64 = 0xBA7C4;
 
-/// YOLO output grid for the batched-forward section (side = 8 × grid;
-/// large enough that the convolution GEMMs dominate per-layer
-/// bookkeeping).
+/// YOLO output grid (side = 8 × grid).
 const GRID: usize = 8;
-
-/// Vehicle counts for the batch sweep.
-const BATCHES: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// A deterministic pseudo-random f32 in [-1, 1).
 fn noise(i: u64) -> f32 {
@@ -64,134 +38,17 @@ fn noise(i: u64) -> f32 {
     ((h >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
 }
 
-/// Median-of-reps wall time for `f`, in seconds.
-fn time_s(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct BatchPoint {
-    batch: usize,
-    ms_per_image: f64,
-    gflops: f64,
-}
-
-/// GOTURN-head weight matrix side: the tracker's FC layers are
-/// 4096×4096, the fleet's weight-bandwidth worst case.
-const HEAD_DIM: usize = 4096;
-
-/// Single-thread head GEMM `[HEAD_DIM, HEAD_DIM] × [HEAD_DIM, n]` per
-/// batch size — the GEMV→GEMM transition cross-vehicle batching buys.
-fn sweep_head_gemm(reps: usize) -> Vec<BatchPoint> {
-    let rt = Runtime::serial();
-    let d = HEAD_DIM;
-    let w = Tensor::from_vec(vec![d, d], (0..d * d).map(|i| noise(i as u64)).collect())
-        .expect("head weight shape");
-    let mut points = Vec::new();
-    for &n in &BATCHES {
-        let x = Tensor::from_vec(vec![d, n], (0..d * n).map(|i| noise(i as u64 + 7)).collect())
-            .expect("stacked column shape");
-        let s = time_s(reps, || {
-            std::hint::black_box(ops::matmul_with(&rt, &w, &x).expect("shapes agree"));
-        });
-        points.push(BatchPoint {
-            batch: n,
-            ms_per_image: s * 1e3 / n as f64,
-            gflops: 2.0 * (d * d * n) as f64 / s / 1e9,
-        });
-    }
-    points
-}
-
-/// One single-thread batched forward per n, over stacked per-vehicle
-/// frames. Returns the sweep plus the batch=1 bitwise-parity verdict.
-fn sweep_batched_forward(reps: usize) -> (Vec<BatchPoint>, bool) {
+/// Whether a batch-of-one `forward_batched` reproduces the per-vehicle
+/// `forward_with` path bit for bit on one single-thread frame.
+fn batch1_parity() -> bool {
     let rt = Runtime::serial();
     let net = yolo_tiny_shared(GRID);
     let side = 8 * GRID;
-    let per = side * side;
-    let flops_per_image = net.cost().expect("built network").total.flops as f64;
-    // Distinct per-vehicle frames, as a fleet would deliver.
-    let stacked: Vec<f32> = (0..16 * per).map(|i| noise(i as u64) * 0.5 + 0.5).collect();
-    let mut points = Vec::new();
-    for &n in &BATCHES {
-        let input = Tensor::from_vec(vec![n, 1, side, side], stacked[..n * per].to_vec())
-            .expect("stacked batch shape");
-        let s = time_s(reps, || {
-            let out = net.forward_batched(&rt, &input).expect("model accepts its input");
-            std::hint::black_box(out);
-        });
-        points.push(BatchPoint {
-            batch: n,
-            ms_per_image: s * 1e3 / n as f64,
-            gflops: n as f64 * flops_per_image / s / 1e9,
-        });
-    }
-    // Batch=1 must be bit-identical to the per-vehicle path.
-    let one = Tensor::from_vec(vec![1, 1, side, side], stacked[..per].to_vec()).unwrap();
-    let batched = net.forward_batched(&rt, &one).unwrap();
-    let single = net.forward_with(&rt, &one).unwrap();
-    (points, batched.as_slice() == single.as_slice())
-}
-
-struct Int8Report {
-    m: usize,
-    k: usize,
-    n: usize,
-    f32_gflops: f64,
-    int8_gops: f64,
-    kernel_speedup: f64,
-    quant_matmul_speedup: f64,
-}
-
-/// Single-thread f32-vs-int8 GEMM on a detector-scale shape.
-fn measure_int8(reps: usize) -> Int8Report {
-    let (m, k, n) = (64usize, 768, 2048);
-    let rt = Runtime::serial();
-    let isa = simd::active();
-    let a = Tensor::from_vec(vec![m, k], (0..m * k).map(|i| noise(i as u64)).collect()).unwrap();
-    let b =
-        Tensor::from_vec(vec![k, n], (0..k * n).map(|i| noise(i as u64 + 7)).collect()).unwrap();
-    let flops = 2.0 * (m * k * n) as f64;
-
-    let f32_s = time_s(reps, || {
-        std::hint::black_box(ops::matmul_with(&rt, &a, &b).expect("shapes agree"));
-    });
-
-    // Kernel-level: pre-quantized, pre-packed operands (the weight-side
-    // regime — packing happens once per network), exact i32
-    // accumulation.
-    let qa = QuantTensor::quantize_per_row(&a);
-    let qb = QuantTensor::quantize(&b);
-    let mut packed = Vec::new();
-    ops::pack_i8_b(qb.as_i8(), k, n, &mut packed);
-    let mut acc = vec![0i32; m * n];
-    let i8_s = time_s(reps, || {
-        ops::matmul_i8_packed_into(&rt, isa, qa.as_i8(), &packed, &mut acc, m, k, n);
-        std::hint::black_box(&acc);
-    });
-
-    // End-to-end: activation quantization + GEMM + dequantization.
-    let qm_s = time_s(reps, || {
-        let qa = QuantTensor::quantize_per_row(&a);
-        std::hint::black_box(quant_matmul_with(&rt, &qa, &qb).expect("shapes agree"));
-    });
-
-    Int8Report {
-        m,
-        k,
-        n,
-        f32_gflops: flops / f32_s / 1e9,
-        int8_gops: flops / i8_s / 1e9,
-        kernel_speedup: f32_s / i8_s,
-        quant_matmul_speedup: f32_s / qm_s,
-    }
+    let pixels = (0..side * side).map(|i| noise(i as u64) * 0.5 + 0.5).collect();
+    let one = Tensor::from_vec(vec![1, 1, side, side], pixels).expect("frame shape");
+    let batched = net.forward_batched(&rt, &one).expect("model accepts its input");
+    let single = net.forward_with(&rt, &one).expect("model accepts its input");
+    batched.as_slice() == single.as_slice()
 }
 
 struct DetectionDelta {
@@ -233,70 +90,17 @@ fn measure_detection_delta(qnet: &QuantNetwork, rt: &Runtime, input: &Tensor) ->
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (reps, mode) = if smoke { (3usize, "smoke") } else { (9, "full") };
+    let mode = if smoke { "smoke" } else { "full" };
 
     adsim_bench::header(
         "Batch",
         "cross-vehicle batched DNN inference + int8 quantized lane path",
     );
 
-    // -- Head GEMM throughput vs batch size (1 thread). -----------------
-    let head = sweep_head_gemm(reps);
-    println!("{HEAD_DIM}x{HEAD_DIM} FC head GEMM vs stacked vehicle columns, single thread:");
-    for p in &head {
-        println!(
-            "  batch {:>2}: {:>7.3} ms/vehicle, {:>6.2} GFLOP/s",
-            p.batch, p.ms_per_image, p.gflops
-        );
-    }
-    if !smoke {
-        for pair in head.windows(2) {
-            assert!(
-                pair[1].gflops > pair[0].gflops,
-                "weight-traffic amortization must raise head GEMM throughput: \
-                 batch={} {:.2} vs batch={} {:.2} GFLOP/s",
-                pair[0].batch,
-                pair[0].gflops,
-                pair[1].batch,
-                pair[1].gflops
-            );
-        }
-    }
-
-    // -- Batched detector forward vs batch size (1 thread). -------------
-    let (sweep, parity) = sweep_batched_forward(reps);
-    println!("\nbatched detector forward, single thread (YOLO grid {GRID}):");
-    for p in &sweep {
-        println!(
-            "  batch {:>2}: {:>7.3} ms/image, {:>6.2} GFLOP/s",
-            p.batch, p.ms_per_image, p.gflops
-        );
-    }
+    // -- Batch=1 bit-identity (1 thread). -------------------------------
+    let parity = batch1_parity();
     println!("batch=1 bitwise-identical to per-vehicle path: {}", adsim_bench::mark(parity));
     assert!(parity, "batch=1 must reproduce the per-vehicle forward bit for bit");
-
-    // -- int8 vs f32 matmul microkernel (1 thread). ---------------------
-    let int8 = measure_int8(reps);
-    println!(
-        "\nint8 lane path on {}x{}x{} GEMM, single thread:",
-        int8.m, int8.k, int8.n
-    );
-    println!("  f32 FMA kernel:     {:>6.2} GFLOP/s", int8.f32_gflops);
-    println!(
-        "  i8 widening kernel: {:>6.2} GOP/s  ({:.2}x kernel speedup)",
-        int8.int8_gops, int8.kernel_speedup
-    );
-    println!(
-        "  quant_matmul end-to-end (quantize + GEMM + dequantize): {:.2}x",
-        int8.quant_matmul_speedup
-    );
-    if !smoke {
-        assert!(
-            int8.kernel_speedup >= 1.5,
-            "int8 kernel must beat f32 by >= 1.5x single-thread, got {:.2}x",
-            int8.kernel_speedup
-        );
-    }
 
     // -- Quantization accuracy: per-layer + detection-level. ------------
     let rt = Runtime::serial();
@@ -321,19 +125,14 @@ fn main() {
         delta.dets_int8
     );
 
-    let json = to_json(mode, &head, &sweep, parity, &int8, &errors, &delta);
-    std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");
-    println!("\nwrote BENCH_batch.json");
+    adsim_bench::write_artifact("BENCH_batch.json", &to_json(mode, parity, &errors, &delta));
 }
 
 /// Hand-rolled JSON (offline policy: no serde). All values are numbers,
 /// booleans or plain ASCII identifiers, so no escaping is required.
 fn to_json(
     mode: &str,
-    head: &[BatchPoint],
-    sweep: &[BatchPoint],
     parity: bool,
-    int8: &Int8Report,
     errors: &[adsim_dnn::quant::LayerError],
     delta: &DetectionDelta,
 ) -> String {
@@ -342,35 +141,6 @@ fn to_json(
     s.push_str(&format!("  \"seed\": {SEED},\n"));
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"batch1_parity_bitwise\": {parity},\n"));
-    s.push_str(&format!("  \"head_gemm_dim\": {HEAD_DIM},\n"));
-    s.push_str("  \"head_gemm\": [\n");
-    for (i, p) in head.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"batch\": {}, \"wall_ms_per_vehicle\": {:.4}, \"gflops\": {:.3}}}{}\n",
-            p.batch,
-            p.ms_per_image,
-            p.gflops,
-            if i + 1 < head.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"batched_forward\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"batch\": {}, \"wall_ms_per_image\": {:.4}, \"gflops\": {:.3}}}{}\n",
-            p.batch,
-            p.ms_per_image,
-            p.gflops,
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"int8\": {{\"m\": {}, \"k\": {}, \"n\": {}, \"f32_gflops\": {:.3}, \
-         \"int8_gops\": {:.3}, \"kernel_speedup\": {:.3}, \"quant_matmul_speedup\": {:.3}}},\n",
-        int8.m, int8.k, int8.n, int8.f32_gflops, int8.int8_gops, int8.kernel_speedup,
-        int8.quant_matmul_speedup,
-    ));
     s.push_str("  \"layer_errors\": [\n");
     for (i, e) in errors.iter().enumerate() {
         s.push_str(&format!(

@@ -5,10 +5,12 @@
 //! the native pipeline (real frames, real perception, scheduled as a
 //! fleet campaign by `adsim-fleet`'s work-stealing engine) and once on
 //! the modeled pipeline (latency-model frames at scale). Reports
-//! deadline misses, degraded-frame rates, mean time-to-recover and
-//! safe-stop counts per cell, re-runs one faulted cell to prove the
+//! degraded-frame rates, mean time-to-recover and safe-stop counts per
+//! cell — plus, for the modeled section, the seeded simulation's
+//! deadline-miss rate and p99 — re-runs one faulted cell to prove the
 //! event log is seed-reproducible, and writes everything to
-//! `BENCH_faults.json`.
+//! `target/bench/BENCH_faults.json`. The native section's wall-clock
+//! latency lives in perfbench (`frame_ms_p50`/`p90` on `fleet_faults`).
 //!
 //! ```text
 //! cargo run --release -p adsim-bench --bin bench_faults [-- --quick]
@@ -39,8 +41,9 @@ struct Cell {
     degraded_rate: f64,
     safe_stops: u64,
     retries: u64,
-    miss_rate: f64,
-    p99_ms: f64,
+    /// `(miss_rate, p99_ms)` of the modeled section: exact, because the
+    /// latency model is a seeded simulation. `None` for native cells.
+    modeled_latency: Option<(f64, f64)>,
 }
 
 impl Cell {
@@ -58,8 +61,7 @@ impl Cell {
             degraded_rate: out.degraded_rate,
             safe_stops: out.safe_stops,
             retries: out.retries,
-            miss_rate: out.miss_rate,
-            p99_ms: out.p99_ms,
+            modeled_latency: None,
         }
     }
 }
@@ -79,9 +81,10 @@ fn fault_cfg(blackout_rate: f64, lock_loss_rate: f64) -> FaultConfig {
 }
 
 fn report_cell(c: &Cell) {
+    let p99 = c.modeled_latency.map_or(String::new(), |(_, p99)| format!(" p99={p99:.2} ms"));
     println!(
         "  {:>7} blackout={:<5} lockloss={:<5} frames={:<5} events={:<4} episodes={:<3} \
-         ttr={:<5.2} degraded={:>5.1}% safestops={:<2} p99={:.2} ms",
+         ttr={:<5.2} degraded={:>5.1}% safestops={}{p99}",
         c.section,
         c.blackout_rate,
         c.lock_loss_rate,
@@ -91,7 +94,6 @@ fn report_cell(c: &Cell) {
         c.mean_ttr_frames,
         c.degraded_rate * 100.0,
         c.safe_stops,
-        c.p99_ms,
     );
 }
 
@@ -184,34 +186,37 @@ fn main() {
                 degraded_rate: recovery.degraded_rate(),
                 safe_stops: recovery.safe_stops,
                 retries: recovery.retries,
-                miss_rate: recovery.miss_rate(),
-                p99_ms: stats.end_to_end.quantile(Quantile::P99),
+                modeled_latency: Some((
+                    recovery.miss_rate(),
+                    stats.end_to_end.quantile(Quantile::P99),
+                )),
             };
             report_cell(&cell);
             cells.push(cell);
         }
     }
 
-    let json = to_json(quick, deterministic, &cells);
-    std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
-    println!("\nwrote BENCH_faults.json ({} cells)", cells.len());
+    let mode = if quick { "quick" } else { "full" };
+    adsim_bench::write_artifact("BENCH_faults.json", &to_json(mode, deterministic, &cells));
 }
 
 /// Hand-rolled JSON (offline policy: no serde). All values are numbers,
 /// booleans or plain ASCII identifiers, so no escaping is required.
-fn to_json(quick: bool, deterministic: bool, cells: &[Cell]) -> String {
+fn to_json(mode: &str, deterministic: bool, cells: &[Cell]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"bench_faults\",\n");
     s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"quick\": {quick},\n"));
+    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"event_log_deterministic\": {deterministic},\n"));
     s.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
+        let latency = c.modeled_latency.map_or(String::new(), |(miss_rate, p99_ms)| {
+            format!(", \"miss_rate\": {miss_rate:.6}, \"p99_ms\": {p99_ms:.4}")
+        });
         s.push_str(&format!(
             "    {{\"section\": \"{}\", \"blackout_rate\": {}, \"lock_loss_rate\": {}, \
              \"frames\": {}, \"events\": {}, \"episodes\": {}, \"mean_ttr_frames\": {:.4}, \
-             \"degraded_rate\": {:.6}, \"safe_stops\": {}, \"retries\": {}, \
-             \"miss_rate\": {:.6}, \"p99_ms\": {:.4}}}{}\n",
+             \"degraded_rate\": {:.6}, \"safe_stops\": {}, \"retries\": {}{latency}}}{}\n",
             c.section,
             c.blackout_rate,
             c.lock_loss_rate,
@@ -222,8 +227,6 @@ fn to_json(quick: bool, deterministic: bool, cells: &[Cell]) -> String {
             c.degraded_rate,
             c.safe_stops,
             c.retries,
-            c.miss_rate,
-            c.p99_ms,
             if i + 1 < cells.len() { "," } else { "" }
         ));
     }

@@ -1,9 +1,9 @@
-//! Fleet campaign benchmark: work-stealing throughput, weight-sharing
-//! memory amortization, and fleet-level tail percentiles.
+//! Fleet campaign benchmark: determinism under work stealing and
+//! weight-sharing memory amortization.
 //!
 //! Runs a fault-mix × seed grid of vehicle cells through the
 //! `adsim-fleet` engine with the DNN pipeline (YOLO detector + GOTURN
-//! tracker pool) and demonstrates the three fleet-scale properties:
+//! tracker pool) and demonstrates the two fleet-scale properties:
 //!
 //! * **Determinism under stealing** — every cell's deterministic
 //!   signature (outputs digest, event logs, counters) is byte-identical
@@ -12,12 +12,12 @@
 //! * **Memory amortization** — model weights are `Arc`-shared through
 //!   the process-wide model cache, so N vehicles hold one weight copy;
 //!   measured by exact unique-storage-pointer accounting vs the
-//!   per-vehicle-copies baseline, with a best-effort RSS probe.
-//! * **Throughput + fleet tails** — vehicles×frames/s at full worker
-//!   count, with per-stage fleet p50/p95/p99/p99.99 from the streamed
-//!   histogram sink.
+//!   per-vehicle-copies baseline.
 //!
-//! Everything lands in `BENCH_fleet.json`.
+//! Fleet throughput and per-stage wall-clock latency live in perfbench
+//! (`frames_per_s` and `fleet.*` on the `fleet_faults` workload).
+//!
+//! Everything lands in `target/bench/BENCH_fleet.json`.
 //!
 //! ```text
 //! cargo run --release -p adsim-bench --bin bench_fleet [-- --smoke]
@@ -104,25 +104,12 @@ fn storage_accounting(nets: &[Network]) -> (usize, usize, usize) {
     (seen.len(), unique_bytes, total_bytes)
 }
 
-/// Best-effort resident-set size (KiB) from /proc/self/statm; 0 where
-/// unavailable (the exact pointer accounting above is the real metric).
-fn rss_kib() -> u64 {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|s| s.split_whitespace().nth(1).map(String::from))
-        .and_then(|pages| pages.parse::<u64>().ok())
-        .map(|pages| pages * 4)
-        .unwrap_or(0)
-}
-
 struct MemoryReport {
     vehicles: usize,
     shared_unique_buffers: usize,
     shared_unique_bytes: usize,
     copied_bytes: usize,
     amortization: f64,
-    rss_shared_kib: u64,
-    rss_copied_kib: u64,
 }
 
 /// Builds N vehicles' worth of model instances both ways and accounts
@@ -130,19 +117,15 @@ struct MemoryReport {
 fn measure_memory(vehicles: usize) -> MemoryReport {
     // Shared path: what YoloDetector/GoturnTracker now do — clones of
     // the process-wide cached models.
-    let rss0 = rss_kib();
     let shared: Vec<Network> = (0..vehicles)
         .flat_map(|_| [yolo_tiny_shared(GRID), goturn_tiny_shared()])
         .collect();
-    let rss_shared = rss_kib().saturating_sub(rss0);
     let (unique_buffers, unique_bytes, _) = storage_accounting(&shared);
 
     // Baseline: one private weight copy per vehicle (the pre-sharing
     // behavior — every pipeline built its own networks).
-    let rss1 = rss_kib();
     let copied: Vec<Network> =
         (0..vehicles).flat_map(|_| [yolo_tiny(GRID), goturn_tiny()]).collect();
-    let rss_copied = rss_kib().saturating_sub(rss1);
     let (_, copied_unique_bytes, copied_total) = storage_accounting(&copied);
     assert_eq!(copied_unique_bytes, copied_total, "fresh builds share nothing");
 
@@ -152,29 +135,6 @@ fn measure_memory(vehicles: usize) -> MemoryReport {
         shared_unique_bytes: unique_bytes,
         copied_bytes: copied_total,
         amortization: copied_total as f64 / unique_bytes.max(1) as f64,
-        rss_shared_kib: rss_shared,
-        rss_copied_kib: rss_copied,
-    }
-}
-
-fn quantiles(h: &adsim_trace::LogHistogram) -> (f64, f64, f64, f64) {
-    (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), h.quantile(0.9999))
-}
-
-fn report_campaign(r: &CampaignResult) {
-    println!(
-        "  {} cells, {} frames, {:.2} s wall, {:.1} vehicle-frames/s ({} workers)",
-        r.sink.cells,
-        r.sink.frames,
-        r.wall_s,
-        r.sink.throughput_fps(r.wall_s),
-        r.workers,
-    );
-    for (name, h) in r.sink.stages.stages() {
-        let (p50, p95, p99, p9999) = quantiles(h);
-        println!(
-            "    {name:>15}: p50 {p50:>8.3}  p95 {p95:>8.3}  p99 {p99:>8.3}  p99.99 {p9999:>8.3} ms"
-        );
     }
 }
 
@@ -185,7 +145,7 @@ fn main() {
 
     adsim_bench::header(
         "Fleet",
-        "work-stealing vehicle-cell campaign: determinism, weight sharing, fleet tails",
+        "work-stealing vehicle-cell campaign: determinism and weight sharing",
     );
     let assets = FleetAssets::urban(Resolution::Hhd);
     let grid = specs(n_seeds, frames);
@@ -240,44 +200,36 @@ fn main() {
         mem.vehicles
     );
     println!(
-        "  shared: {} unique buffers, {:.1} KiB resident weights (rss probe {} KiB)",
+        "  shared: {} unique buffers, {:.1} KiB resident weights",
         mem.shared_unique_buffers,
         mem.shared_unique_bytes as f64 / 1024.0,
-        mem.rss_shared_kib,
     );
     println!(
-        "  per-vehicle copies: {:.1} KiB ({:.0}x amortization, rss probe {} KiB)",
+        "  per-vehicle copies: {:.1} KiB ({:.0}x amortization)",
         mem.copied_bytes as f64 / 1024.0,
         mem.amortization,
-        mem.rss_copied_kib,
     );
     assert!(
         mem.amortization >= mem.vehicles as f64 * 0.9,
         "sharing must amortize ~linearly in fleet size"
     );
 
-    // -- Throughput + fleet tails at full parallelism. -----------------
-    let full = FleetEngine::new(
-        assets,
-        FleetConfig { pipeline: pipeline(), ..FleetConfig::default() },
-    )
-    .run(&grid);
-    println!("\nfleet campaign at {} workers:", full.workers);
-    report_campaign(&full);
-
-    let json = to_json(mode, &parity, &mem, &campaigns, &full);
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("\nwrote BENCH_fleet.json ({} cells)", full.outcomes.len());
+    adsim_bench::write_artifact(
+        "BENCH_fleet.json",
+        &to_json(mode, &parity, &mem, &campaigns, &reference),
+    );
 }
 
 /// Hand-rolled JSON (offline policy: no serde). All values are numbers,
 /// booleans or plain ASCII identifiers, so no escaping is required.
+/// `full` holds the campaign totals, which are the same at every worker
+/// count; they are read from the serial reference.
 fn to_json(
     mode: &str,
     parity: &[(usize, bool)],
     mem: &MemoryReport,
     campaigns: &[CampaignResult],
-    full: &CampaignResult,
+    reference: &CampaignResult,
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"bench_fleet\",\n");
@@ -294,51 +246,31 @@ fn to_json(
     s.push_str(&format!(
         "  \"memory\": {{\"vehicles\": {}, \"shared_unique_buffers\": {}, \
          \"shared_unique_bytes\": {}, \"per_vehicle_copy_bytes\": {}, \
-         \"amortization\": {:.2}, \"rss_shared_kib\": {}, \"rss_copied_kib\": {}}},\n",
+         \"amortization\": {:.2}}},\n",
         mem.vehicles,
         mem.shared_unique_buffers,
         mem.shared_unique_bytes,
         mem.copied_bytes,
         mem.amortization,
-        mem.rss_shared_kib,
-        mem.rss_copied_kib,
     ));
     s.push_str("  \"campaigns\": [\n");
     for (i, r) in campaigns.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"workers\": {}, \"cells\": {}, \"frames\": {}, \"wall_s\": {:.4}, \
-             \"vehicle_frames_per_s\": {:.2}}}{}\n",
+            "    {{\"workers\": {}, \"cells\": {}, \"frames\": {}}}{}\n",
             r.workers,
             r.sink.cells,
             r.sink.frames,
-            r.wall_s,
-            r.sink.throughput_fps(r.wall_s),
             if i + 1 < campaigns.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n");
     s.push_str(&format!(
-        "  \"full\": {{\"workers\": {}, \"cells\": {}, \"frames\": {}, \"wall_s\": {:.4}, \
-         \"vehicle_frames_per_s\": {:.2}, \"safe_stops\": {}, \"uncaught\": {}}},\n",
-        full.workers,
-        full.sink.cells,
-        full.sink.frames,
-        full.wall_s,
-        full.sink.throughput_fps(full.wall_s),
-        full.sink.safe_stops,
-        full.sink.uncaught,
+        "  \"full\": {{\"cells\": {}, \"frames\": {}, \"safe_stops\": {}, \"uncaught\": {}}}\n",
+        reference.sink.cells,
+        reference.sink.frames,
+        reference.sink.safe_stops,
+        reference.sink.uncaught,
     ));
-    s.push_str("  \"fleet_tails_ms\": {\n");
-    let stages = full.sink.stages.stages();
-    for (i, (name, h)) in stages.iter().enumerate() {
-        let (p50, p95, p99, p9999) = quantiles(h);
-        s.push_str(&format!(
-            "    \"{name}\": {{\"p50\": {p50:.4}, \"p95\": {p95:.4}, \"p99\": {p99:.4}, \
-             \"p99_99\": {p9999:.4}, \"count\": {}}}{}\n",
-            h.count(),
-            if i + 1 < stages.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  }\n}\n");
+    s.push_str("}\n");
     s
 }

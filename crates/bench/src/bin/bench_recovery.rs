@@ -29,7 +29,10 @@
 //! cell), and a crash with no recovery policy must quarantine the cell
 //! while the rest of the campaign completes.
 //!
-//! Everything lands in `BENCH_recovery.json`.
+//! Everything lands in `target/bench/BENCH_recovery.json`; every field
+//! is a pure function of the seeds. Recovery's wall-clock cost lives in
+//! perfbench (`core.checkpoint_ms`, `core.restore_ms` and
+//! `recovery.replay_share` on `fleet_faults`).
 //!
 //! ```text
 //! cargo run --release -p adsim-bench --bin bench_recovery [-- --smoke]
@@ -283,14 +286,12 @@ fn main() {
         }
     }
 
-    let wall_s = reference.wall_s;
     let json = to_json(
         mode, frames, &parity, &reference.outcomes, total_scheduled, digest_matches, &checked,
-        transparent, &parked, &frozen, &points, wall_s,
+        transparent, &parked, &frozen, &points,
     );
     validate_json(&json).expect("BENCH_recovery.json must be well-formed");
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    println!("\nwrote BENCH_recovery.json ({} sweep cells)", specs.len());
+    adsim_bench::write_artifact("BENCH_recovery.json", &json);
 }
 
 /// Aggregates the per-cell outcomes of the sweep grid into one row per
@@ -336,8 +337,7 @@ fn fold_points(
     points
 }
 
-/// Hand-rolled JSON (offline policy: no serde). `wall_s` is the only
-/// wall-clock field; everything else is a pure function of the seeds.
+/// Hand-rolled JSON (offline policy: no serde).
 #[allow(clippy::too_many_arguments)]
 fn to_json(
     mode: &str,
@@ -351,7 +351,6 @@ fn to_json(
     parked: &CellOutcome,
     frozen: &CellOutcome,
     points: &[Point],
-    wall_s: f64,
 ) -> String {
     let crashes: u64 = outcomes.iter().map(|c| c.crashes).sum();
     let restarts: u64 = outcomes.iter().map(|c| c.restarts).sum();
@@ -406,8 +405,6 @@ fn to_json(
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"wall_s\": {wall_s:.4}\n"));
-    s.push_str("}\n");
+    s.push_str("  ]\n}\n");
     s
 }

@@ -23,8 +23,10 @@
 //!   non-wall-clock cell field byte for byte (the fleet engine pins the
 //!   same property across worker counts in `tests/fleet.rs`).
 //!
-//! A guards-on vs guards-off overhead measurement on a clean run and
-//! the full per-cell table land in `BENCH_soak.json`.
+//! The per-cell table lands in `target/bench/BENCH_soak.json`. Guard
+//! cost is wall clock and lives in perfbench
+//! (`core.supervisor_overhead_ms`); `tests/guard.rs` pins that an armed
+//! guard never perturbs outputs.
 //!
 //! ```text
 //! cargo run --release -p adsim-bench --bin bench_soak [-- --smoke | -- --quick]
@@ -34,10 +36,9 @@
 //! dozen frames per run. `--quick` keeps the full mix grid but trims
 //! seeds and frames.
 
-use adsim_core::{GuardConfig, SupervisorConfig};
+use adsim_core::GuardConfig;
 use adsim_faults::FaultConfig;
 use adsim_fleet::{run_cell, CellOutcome, CellSpec, FleetAssets, FleetConfig, FleetEngine};
-use adsim_stats::Quantile;
 use adsim_workload::Resolution;
 
 /// Campaign base seed; per-run seeds derive from it below.
@@ -110,10 +111,9 @@ struct Cell {
 }
 
 impl Cell {
-    /// Everything deterministic about the run — the wall-clock latency
-    /// block is the only exclusion. The determinism re-run compares
-    /// this (the fleet outcome signature prefixed with the mix/guard
-    /// identity).
+    /// Everything deterministic about the run. The determinism re-run
+    /// compares this (the fleet outcome signature prefixed with the
+    /// mix/guard identity).
     fn signature(&self) -> String {
         format!("{}/{} {}", self.mix, self.guard, self.out.signature())
     }
@@ -129,7 +129,7 @@ impl Cell {
 fn report_cell(c: &Cell) {
     println!(
         "  {:>10}/{:<7} seed={:>18} frames={:<4} injected={:<3} detected={:<3} \
-         cov={:>5.1}% trips={:<3} uncaught={} ttr={:<4.1} max={:<3} safestops={:<2} p99={:.2} ms",
+         cov={:>5.1}% trips={:<3} uncaught={} ttr={:<4.1} max={:<3} safestops={}",
         c.mix,
         c.guard,
         format!("{:#x}", c.out.seed),
@@ -142,14 +142,12 @@ fn report_cell(c: &Cell) {
         c.out.mean_ttr_frames,
         c.out.max_ttr_frames,
         c.out.safe_stops,
-        c.out.p99_ms,
     );
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let quick = std::env::args().any(|a| a == "--quick");
-    let res = Resolution::Hhd;
     let (n_seeds, frames, mode) = if smoke {
         (2u64, 12usize, "smoke")
     } else if quick {
@@ -162,7 +160,7 @@ fn main() {
         "Soak",
         "fault-mix x seed chaos campaign under safety monitors and a checksummed data plane",
     );
-    let assets = FleetAssets::urban(res);
+    let assets = FleetAssets::urban(Resolution::Hhd);
     let all_mixes = mixes();
     let grid: Vec<&Mix> = if smoke {
         all_mixes.iter().filter(|m| matches!(m.name, "clean" | "data" | "everything")).collect()
@@ -275,60 +273,18 @@ fn main() {
     );
     assert!(deterministic, "same seed and mix must reproduce logs and counters exactly");
 
-    // -- Overhead: guards on vs off over a clean run. The two
-    // supervisors are interleaved frame by frame in alternating order
-    // so wall-clock drift (thermal, cache) hits both probes equally
-    // instead of whichever ran second.
-    let clean = all_mixes.iter().find(|m| m.name == "clean").expect("clean mix exists");
-    let overhead_frames = if smoke || quick { frames } else { 40 };
-    let pipeline = &engine.config().pipeline;
-    let guards_off = SupervisorConfig { guard: GuardConfig::off(), ..SupervisorConfig::default() };
-    let mut sup_off = assets.supervisor(SEED, clean.cfg.clone(), guards_off, pipeline);
-    let mut sup_on =
-        assets.supervisor(SEED, clean.cfg.clone(), SupervisorConfig::default(), pipeline);
-    let mut e2e_off = adsim_stats::LatencyRecorder::with_capacity(overhead_frames);
-    let mut e2e_on = adsim_stats::LatencyRecorder::with_capacity(overhead_frames);
-    for (i, frame) in assets.scenario().stream(res).take(overhead_frames).enumerate() {
-        let (first, second, first_rec, second_rec) = if i % 2 == 0 {
-            (&mut sup_off, &mut sup_on, &mut e2e_off, &mut e2e_on)
-        } else {
-            (&mut sup_on, &mut sup_off, &mut e2e_on, &mut e2e_off)
-        };
-        first_rec.record(first.process(&frame.image, frame.time_s).reported.end_to_end());
-        second_rec.record(second.process(&frame.image, frame.time_s).reported.end_to_end());
-    }
-    let off_ms = e2e_off.quantile(Quantile::P50);
-    let on_ms = e2e_on.quantile(Quantile::P50);
-    println!("overhead probe guards-off: p50 {off_ms:.3} ms over {overhead_frames} frames");
-    println!("overhead probe guards-on:  p50 {on_ms:.3} ms over {overhead_frames} frames");
-    let overhead_pct = if off_ms > 0.0 { (on_ms - off_ms) / off_ms * 100.0 } else { 0.0 };
-    println!("guards-on overhead: {overhead_pct:+.2}% (wall clock; see tests/guard.rs for the bit-identity pin)");
-
-    let json = to_json(mode, deterministic, off_ms, on_ms, overhead_pct, &cells);
-    std::fs::write("BENCH_soak.json", &json).expect("write BENCH_soak.json");
-    println!("\nwrote BENCH_soak.json ({} cells)", cells.len());
+    adsim_bench::write_artifact("BENCH_soak.json", &to_json(mode, deterministic, &cells));
 }
 
 /// Hand-rolled JSON (offline policy: no serde). All values are numbers,
 /// booleans or plain ASCII identifiers, so no escaping is required.
-fn to_json(
-    mode: &str,
-    deterministic: bool,
-    off_ms: f64,
-    on_ms: f64,
-    overhead_pct: f64,
-    cells: &[Cell],
-) -> String {
+fn to_json(mode: &str, deterministic: bool, cells: &[Cell]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"bench_soak\",\n");
     s.push_str(&format!("  \"seed\": {SEED},\n"));
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!("  \"deterministic\": {deterministic},\n"));
     s.push_str(&format!("  \"ttr_bound_frames\": {TTR_BOUND_FRAMES},\n"));
-    s.push_str(&format!(
-        "  \"overhead\": {{\"guards_off_p50_ms\": {off_ms:.4}, \"guards_on_p50_ms\": {on_ms:.4}, \
-         \"overhead_pct\": {overhead_pct:.2}}},\n"
-    ));
     s.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
@@ -336,7 +292,7 @@ fn to_json(
              \"injected_data_faults\": {}, \"detected_data_faults\": {}, \"coverage\": {:.4}, \
              \"dual_recovered\": {}, \"monitor_trips\": {}, \"uncaught\": {}, \"episodes\": {}, \
              \"mean_ttr_frames\": {:.4}, \"max_ttr_frames\": {}, \"degraded_rate\": {:.6}, \
-             \"safe_stops\": {}, \"p99_ms\": {:.4}}}{}\n",
+             \"safe_stops\": {}}}{}\n",
             c.mix,
             c.guard,
             c.out.seed,
@@ -352,7 +308,6 @@ fn to_json(
             c.out.max_ttr_frames,
             c.out.degraded_rate,
             c.out.safe_stops,
-            c.out.p99_ms,
             if i + 1 < cells.len() { "," } else { "" }
         ));
     }

@@ -2,7 +2,7 @@
 //!
 //! Replays the soak fault grid (data and everything mixes × derived
 //! seeds) as a fleet campaign under a recording `TelemetrySession` and
-//! checks the telemetry plane's three contracts:
+//! checks the telemetry plane's two contracts:
 //!
 //! * **Fleet determinism** — the fleet-merged registry's Prometheus
 //!   exposition is byte-identical across 1, 2 and 8 fleet workers and
@@ -15,14 +15,15 @@
 //!   the trigger frame appears in the dump window with its data-fault
 //!   bits set. The injector replay is exact (same seed, same schedule),
 //!   so the culprit frame is known ground truth.
-//! * **Overhead** — recording on vs off, interleaved frame by frame in
-//!   alternating order over the same supervised pipeline; the telemetry
-//!   fast path must cost ≤ 2 % (asserted in full mode; smoke prints).
 //!
-//! Artifacts: `BENCH_telemetry.json` (validated by the workspace JSON
-//! checker) and `PROM_telemetry.txt` (the fleet Prometheus snapshot
-//! plus wall-clock worker-utilization gauges from a traced segment,
-//! validated by the hand-rolled exposition validator).
+//! Recording cost is wall clock and lives in perfbench
+//! (`telemetry.overhead_share`); `tests/telemetry.rs` pins that
+//! recording never perturbs outputs.
+//!
+//! Artifacts, both in `target/bench/`: `BENCH_telemetry.json`
+//! (validated by the workspace JSON checker) and `PROM_telemetry.txt`
+//! (the fleet Prometheus snapshot, validated by the hand-rolled
+//! exposition validator).
 //!
 //! ```text
 //! cargo run --release -p adsim-bench --bin bench_telemetry [-- --smoke]
@@ -30,13 +31,11 @@
 
 use adsim_faults::{FaultConfig, FaultInjector};
 use adsim_fleet::{CellOutcome, CellSpec, FleetAssets, FleetConfig, FleetEngine};
-use adsim_runtime::Runtime;
-use adsim_stats::Quantile;
 use adsim_telemetry::{
     prometheus_text, validate_prometheus, DumpTrigger, MetricsRegistry, TelemetrySession,
     FAULT_DATA_MASK,
 };
-use adsim_trace::{validate_json, worker_utilization, TraceSession};
+use adsim_trace::validate_json;
 use adsim_workload::Resolution;
 
 /// Campaign base seed (the soak harness's, so the grids line up).
@@ -175,8 +174,7 @@ fn main() {
     );
 
     // Same-seed re-run (fresh engine, same worker count as the last).
-    let engine = FleetEngine::new(assets.clone(), FleetConfig::with_workers(8));
-    let rerun = engine.run(&grid.specs);
+    let rerun = FleetEngine::new(assets, FleetConfig::with_workers(8)).run(&grid.specs);
     let rerun_prom = prometheus_text(&rerun.telemetry);
     let rerun_identical =
         reference.as_ref().is_some_and(|(ref_prom, _)| rerun_prom == *ref_prom);
@@ -195,84 +193,11 @@ fn main() {
         assert!(causality.checked > 0, "full grid must exercise data-fault SafeStop dumps");
     }
 
-    // -- Overhead: recording on vs off. Both legs process the *same*
-    // frame back to back, so the paired per-frame difference cancels
-    // frame-content and fault-schedule variance; alternating which leg
-    // goes first cancels the cache-warming advantage of running second.
-    // The median of the paired relative differences is the overhead —
-    // far tighter than comparing two independently-measured p50s.
-    let overhead_frames = if smoke { frames * 2 } else { 120 };
-    let pipeline = engine.config().pipeline.clone();
-    let mut sup_on = assets.supervisor(SEED, data_mix(), Default::default(), &pipeline);
-    let mut sup_off = assets.supervisor(SEED, data_mix(), Default::default(), &pipeline);
-    let mut e2e_on = adsim_stats::LatencyRecorder::with_capacity(overhead_frames);
-    let mut e2e_off = adsim_stats::LatencyRecorder::with_capacity(overhead_frames);
-    let mut diffs_pct = Vec::with_capacity(overhead_frames);
-    for (i, frame) in assets.scenario().stream(assets.resolution()).take(overhead_frames).enumerate()
-    {
-        let on_first = i % 2 == 0;
-        let (mut on_ms, mut off_ms) = (0.0f64, 0.0f64);
-        for leg in 0..2 {
-            let on_leg = (leg == 0) == on_first;
-            if on_leg {
-                session.resume();
-                on_ms = sup_on.process(&frame.image, frame.time_s).reported.end_to_end();
-                e2e_on.record(on_ms);
-            } else {
-                session.pause();
-                off_ms = sup_off.process(&frame.image, frame.time_s).reported.end_to_end();
-                e2e_off.record(off_ms);
-            }
-        }
-        if off_ms > 0.0 {
-            diffs_pct.push((on_ms - off_ms) / off_ms * 100.0);
-        }
-    }
-    session.resume();
-    let on_ms = e2e_on.quantile(Quantile::P50);
-    let off_ms = e2e_off.quantile(Quantile::P50);
-    diffs_pct.sort_by(f64::total_cmp);
-    let overhead_pct =
-        if diffs_pct.is_empty() { 0.0 } else { diffs_pct[diffs_pct.len() / 2] };
-    println!("overhead probe telemetry-off: p50 {off_ms:.3} ms over {overhead_frames} frames");
-    println!("overhead probe telemetry-on:  p50 {on_ms:.3} ms over {overhead_frames} frames");
-    println!(
-        "telemetry-on overhead: {overhead_pct:+.2}% paired-median \
-         (bit-identity pinned in tests/telemetry.rs)"
-    );
-    if !smoke {
-        assert!(overhead_pct <= 2.0, "telemetry fast path must cost <= 2% ({overhead_pct:+.2}%)");
-    }
     let _ = session.finish(); // clears the enable flag; cells already drained their shards
 
-    // -- Worker utilization from a traced segment (satellite of the
-    // nested-span double-counting fix): fold the corrected gauge into
-    // the exported registry. Wall-clock — excluded from parity above.
-    let trace_session = TraceSession::begin();
-    let rt = Runtime::new(4);
-    let mut data = vec![0u64; 1 << 14];
-    rt.par_chunks_mut(&mut data, 64, |i, chunk| {
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            *slot = ((i * 64 + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    });
-    let trace = trace_session.finish();
-    let (util_workers, region_ms) = worker_utilization(&trace.events);
-    let mut export: MetricsRegistry = rerun.telemetry.clone();
-    for w in &util_workers {
-        let util = if region_ms > 0.0 { w.busy_ms / region_ms } else { 0.0 };
-        assert!(util <= 1.001, "utilization must stay within wall clock after the nesting fix");
-        export.gauge_set("runtime_utilization", w.worker, "", 0, util);
-    }
-    export.sort();
-    let prom_out = prometheus_text(&export);
-    validate_prometheus(&prom_out).expect("exported exposition must validate");
-    std::fs::write("PROM_telemetry.txt", &prom_out).expect("write PROM_telemetry.txt");
-    println!(
-        "\nwrote PROM_telemetry.txt ({} series, {} workers utilization)",
-        export.len(),
-        util_workers.len()
-    );
+    // The re-run's exposition: sorted by the engine and validated above
+    // (it equals the 1-worker reference byte for byte).
+    adsim_bench::write_artifact("PROM_telemetry.txt", &rerun_prom);
 
     let json = to_json(
         mode,
@@ -281,15 +206,11 @@ fn main() {
         &rerun.telemetry,
         &causality,
         total_dumps,
-        off_ms,
-        on_ms,
-        overhead_pct,
         &grid,
         &last_outcomes,
     );
     validate_json(&json).expect("BENCH_telemetry.json must be well-formed");
-    std::fs::write("BENCH_telemetry.json", &json).expect("write BENCH_telemetry.json");
-    println!("wrote BENCH_telemetry.json ({} cells)", last_outcomes.len());
+    adsim_bench::write_artifact("BENCH_telemetry.json", &json);
 }
 
 /// Hand-rolled JSON (offline policy: no serde).
@@ -301,9 +222,6 @@ fn to_json(
     registry: &MetricsRegistry,
     causality: &Causality,
     total_dumps: usize,
-    off_ms: f64,
-    on_ms: f64,
-    overhead_pct: f64,
     grid: &Grid,
     outcomes: &[CellOutcome],
 ) -> String {
@@ -322,10 +240,6 @@ fn to_json(
         "  \"dump_causality\": {{\"dumps\": {total_dumps}, \"safe_stop_dumps\": {}, \
          \"checked\": {}, \"violations\": {}}},\n",
         causality.safe_stop_dumps, causality.checked, causality.violations
-    ));
-    s.push_str(&format!(
-        "  \"overhead\": {{\"telemetry_off_p50_ms\": {off_ms:.4}, \
-         \"telemetry_on_p50_ms\": {on_ms:.4}, \"overhead_pct\": {overhead_pct:.2}}},\n"
     ));
     s.push_str("  \"cells\": [\n");
     for (i, (outcome, mix)) in outcomes.iter().zip(&grid.mixes).enumerate() {

@@ -1,21 +1,18 @@
 //! Baseline comparison for `BENCH_*.json` artifacts.
 //!
-//! The bench harnesses separate two kinds of fields (the same split
-//! `CellOutcome::signature` makes): **deterministic** fields are pure
-//! functions of seeds and virtual-clock state and must reproduce
-//! *exactly* on any machine; **wall-clock** fields (latency quantiles,
-//! overhead percentages, utilization) legitimately drift between hosts
-//! and runs. The comparator walks two parsed documents and applies the
-//! band policy from EXPERIMENTS.md: exact equality for deterministic
-//! leaves, a relative tolerance (or, by default, a type-and-finiteness
-//! check) for wall-clock leaves.
+//! Every field a bench binary writes is a pure function of seeds, grid
+//! sizes and virtual-clock state — wall-clock timing lives in perfbench
+//! (`benchmark/`) — so a fresh artifact must reproduce its committed
+//! baseline exactly, leaf for leaf. The one fence is `"mode"`: a smoke
+//! run covers a smaller grid than the committed full-mode baseline, so
+//! artifacts of different modes are never diffed.
 
 use crate::json::Value;
 
 /// One divergence between baseline and fresh documents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diff {
-    /// Dotted path to the offending leaf (`cells[3].p99_ms`).
+    /// Dotted path to the offending leaf (`cells[3].safe_stops`).
     pub path: String,
     /// What went wrong, human-readable.
     pub what: String,
@@ -27,27 +24,10 @@ impl std::fmt::Display for Diff {
     }
 }
 
-/// Classifies a leaf by its key: wall-clock keys get the tolerance
-/// band, everything else must match exactly. Virtual-clock quantities
-/// are deterministic even when their names look like latencies
-/// (`virtual_miss_rate`, `e2e_virtual_ms`), so `virtual` exempts first.
-pub fn is_wallclock_key(key: &str) -> bool {
-    if key.contains("virtual") {
-        return false;
-    }
-    key.ends_with("_ms") || key.ends_with("_s") || key.ends_with("_pct") || key == "miss_rate"
-        || key.contains("wall") || key.contains("overhead") || key.contains("p50")
-        || key.contains("p95") || key.contains("p99") || key.contains("gflops")
-        || key.contains("gops") || key.contains("throughput") || key.contains("util")
-        || key.contains("fps") || key.contains("speedup")
-}
-
-/// Compares `fresh` against `baseline`. `tol` is the relative band for
-/// wall-clock numbers (`0.25` = ±25 %, floored at an absolute unit of
-/// 1.0 so near-zero baselines don't explode the ratio); `tol = 0`
-/// checks only that wall-clock leaves keep their type and stay finite.
-/// Returns every divergence found, in document order.
-pub fn compare(baseline: &Value, fresh: &Value, tol: f64) -> Vec<Diff> {
+/// Compares `fresh` against `baseline`, every leaf exactly. Returns
+/// every divergence found, in document order; a cross-mode pair is
+/// refused with a single `mode` diff.
+pub fn compare(baseline: &Value, fresh: &Value) -> Vec<Diff> {
     // Refuse cross-mode comparisons up front: a smoke-mode artifact has
     // a different grid than the committed full-mode baseline, and every
     // array length would "fail" confusingly.
@@ -65,8 +45,45 @@ pub fn compare(baseline: &Value, fresh: &Value, tol: f64) -> Vec<Diff> {
         }
     }
     let mut diffs = Vec::new();
-    walk(baseline, fresh, "", false, tol, &mut diffs);
+    walk(baseline, fresh, "", &mut diffs);
     diffs
+}
+
+/// The `bench_check --all` pairing rule for a committed artifact and a
+/// fresh one of the same name: `None` when their `"mode"` fields differ
+/// (both were parsed, nothing is compared), otherwise the exact diff.
+pub fn check_pair(committed: &Value, fresh: &Value) -> Option<Vec<Diff>> {
+    (committed.get("mode") == fresh.get("mode")).then(|| compare(committed, fresh))
+}
+
+/// Checks one parsed artifact's schema: the `bench` id plus the
+/// top-level keys that bench must carry. Returns the bench id.
+pub fn validate(doc: &Value) -> Result<&str, String> {
+    let bench = doc.get("bench").and_then(Value::as_str).ok_or("no \"bench\" field")?;
+    match required_keys(bench).iter().find(|key| doc.get(key).is_none()) {
+        Some(key) => Err(format!("({bench}) is missing required key \"{key}\"")),
+        None => Ok(bench),
+    }
+}
+
+/// Top-level keys each known artifact must carry. A bench whose writer
+/// drops one of these regressed its schema even if the JSON still parses.
+fn required_keys(bench: &str) -> &'static [&'static str] {
+    match bench {
+        "bench_recovery" => &[
+            "seed",
+            "mode",
+            "frames",
+            "parity",
+            "containment",
+            "crash_free_transparency",
+            "exhaustion",
+            "sweep",
+        ],
+        "bench_fleet" => &["seed", "mode", "parity", "memory", "campaigns", "full"],
+        "bench_telemetry" => &["seed", "mode", "parity", "rerun_byte_identical", "dump_causality"],
+        _ => &[],
+    }
 }
 
 fn push(diffs: &mut Vec<Diff>, path: &str, what: String) {
@@ -74,15 +91,13 @@ fn push(diffs: &mut Vec<Diff>, path: &str, what: String) {
     diffs.push(Diff { path: path.to_string(), what });
 }
 
-fn walk(base: &Value, fresh: &Value, path: &str, wallclock: bool, tol: f64, diffs: &mut Vec<Diff>) {
+fn walk(base: &Value, fresh: &Value, path: &str, diffs: &mut Vec<Diff>) {
     match (base, fresh) {
         (Value::Obj(bm), Value::Obj(fm)) => {
             for (key, bv) in bm {
                 let child = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
                 match fresh.get(key) {
-                    Some(fv) => {
-                        walk(bv, fv, &child, wallclock || is_wallclock_key(key), tol, diffs)
-                    }
+                    Some(fv) => walk(bv, fv, &child, diffs),
                     None => push(diffs, &child, "missing from fresh run".into()),
                 }
             }
@@ -99,35 +114,13 @@ fn walk(base: &Value, fresh: &Value, path: &str, wallclock: bool, tol: f64, diff
                 return;
             }
             for (i, (bv, fv)) in ba.iter().zip(fa).enumerate() {
-                walk(bv, fv, &format!("{path}[{i}]"), wallclock, tol, diffs);
-            }
-        }
-        (Value::Num(b), Value::Num(f)) if wallclock => {
-            if !f.is_finite() {
-                push(diffs, path, format!("wall-clock value {f} is not finite"));
-            } else if tol > 0.0 {
-                let band = tol * b.abs().max(1.0);
-                if (f - b).abs() > band {
-                    push(
-                        diffs,
-                        path,
-                        format!("{f} outside ±{:.0}% band around baseline {b}", tol * 100.0),
-                    );
-                }
-            }
-        }
-        (Value::Num(b), Value::Num(f)) => {
-            if b != f {
-                push(diffs, path, format!("deterministic value {f} != baseline {b}"));
+                walk(bv, fv, &format!("{path}[{i}]"), diffs);
             }
         }
         _ if base.kind() != fresh.kind() => {
             push(diffs, path, format!("type {} != baseline {}", fresh.kind(), base.kind()));
         }
         _ => {
-            // Same kind, not a number: strings / bools / null compare
-            // exactly regardless of the wall-clock flag (a wall-clock
-            // *label* changing is still a regression).
             if base != fresh {
                 push(diffs, path, format!("{fresh:?} != baseline {base:?}"));
             }
@@ -138,75 +131,62 @@ fn walk(base: &Value, fresh: &Value, path: &str, wallclock: bool, tol: f64, diff
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use crate::json::{parse, Value};
 
-    #[test]
-    fn wallclock_keys_are_classified() {
-        for wall in [
-            "p99_ms", "wall_s", "overhead_pct", "miss_rate", "guards_off_p50_ms", "util",
-            "int8_gops", "kernel_speedup",
-        ] {
-            assert!(is_wallclock_key(wall), "{wall} should be wall-clock");
-        }
-        for det in [
-            "virtual_miss_rate",
-            "e2e_virtual_ms",
-            "frames",
-            "seed",
-            "mota",
-            "safe_stops",
-            // Recovery metrics count virtual frames and bytes — pure
-            // functions of the seeds, never of the host clock.
-            "mttr_frames",
-            "replay_ratio",
-            "peak_checkpoint_bytes",
-            "replayed_frames",
-        ] {
-            assert!(!is_wallclock_key(det), "{det} should be deterministic");
+    /// `base` with every number `f64::next_up`-ed by one ulp at `key`.
+    fn bump(base: &Value, key: &str) -> Value {
+        match base {
+            Value::Obj(m) => Value::Obj(
+                m.iter()
+                    .map(|(k, v)| match v {
+                        Value::Num(x) if k == key => (k.clone(), Value::Num(x.next_up())),
+                        _ => (k.clone(), bump(v, key)),
+                    })
+                    .collect(),
+            ),
+            Value::Arr(a) => Value::Arr(a.iter().map(|v| bump(v, key)).collect()),
+            _ => base.clone(),
         }
     }
 
     #[test]
     fn identical_documents_have_no_diffs() {
-        let v = parse(r#"{"mode": "full", "seed": 7, "cells": [{"p99_ms": 31.5}]}"#).unwrap();
-        assert!(compare(&v, &v, 0.0).is_empty());
-        assert!(compare(&v, &v, 0.25).is_empty());
+        let v = parse(r#"{"mode": "full", "seed": 7, "cells": [{"safe_stops": 3}]}"#).unwrap();
+        assert!(compare(&v, &v).is_empty());
     }
 
     #[test]
-    fn deterministic_drift_fails_even_inside_tolerance() {
-        let b = parse(r#"{"seed": 7, "safe_stops": 3}"#).unwrap();
-        let f = parse(r#"{"seed": 7, "safe_stops": 4}"#).unwrap();
-        let diffs = compare(&b, &f, 0.5);
+    fn one_ulp_drift_in_any_numeric_leaf_fails() {
+        // Latency- and overhead-named keys get no slack either.
+        let b = parse(
+            r#"{"seed": 7, "safe_stops": 3, "p99_ms": 31.5, "overhead_pct": 0.17,
+                "miss_rate": 0.25}"#,
+        )
+        .unwrap();
+        for key in ["seed", "safe_stops", "p99_ms", "overhead_pct", "miss_rate"] {
+            let diffs = compare(&b, &bump(&b, key));
+            assert_eq!(diffs.len(), 1, "{key}: {diffs:?}");
+            assert_eq!(diffs[0].path, key);
+        }
+    }
+
+    #[test]
+    fn nested_object_drift_fails() {
+        let b = parse(r#"{"overhead": {"ratio": 1.0}, "cells": [{"x": {"mttr_frames": 2.5}}]}"#)
+            .unwrap();
+        let diffs = compare(&b, &bump(&b, "ratio"));
         assert_eq!(diffs.len(), 1);
-        assert!(diffs[0].path == "safe_stops", "{diffs:?}");
-    }
-
-    #[test]
-    fn wallclock_drift_passes_within_band_and_fails_outside() {
-        let b = parse(r#"{"p99_ms": 100.0}"#).unwrap();
-        let near = parse(r#"{"p99_ms": 110.0}"#).unwrap();
-        let far = parse(r#"{"p99_ms": 200.0}"#).unwrap();
-        assert!(compare(&b, &near, 0.25).is_empty());
-        assert_eq!(compare(&b, &far, 0.25).len(), 1);
-        // tol = 0: type/finite check only, any finite drift passes.
-        assert!(compare(&b, &far, 0.0).is_empty());
-    }
-
-    #[test]
-    fn wallclock_band_applies_inside_nested_wallclock_objects() {
-        // The `overhead` key marks the whole subtree wall-clock, so
-        // leaves inside it get the band even without suffix matches.
-        let b = parse(r#"{"overhead": {"ratio": 1.0}}"#).unwrap();
-        let f = parse(r#"{"overhead": {"ratio": 1.1}}"#).unwrap();
-        assert!(compare(&b, &f, 0.25).is_empty());
+        assert_eq!(diffs[0].path, "overhead.ratio");
+        let diffs = compare(&b, &bump(&b, "mttr_frames"));
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(diffs[0].path, "cells[0].x.mttr_frames");
     }
 
     #[test]
     fn shape_changes_are_reported() {
         let b = parse(r#"{"cells": [1, 2], "gone": true}"#).unwrap();
         let f = parse(r#"{"cells": [1, 2, 3], "new_field": 1}"#).unwrap();
-        let diffs = compare(&b, &f, 0.0);
+        let diffs = compare(&b, &f);
         let paths: Vec<&str> = diffs.iter().map(|d| d.path.as_str()).collect();
         assert!(paths.contains(&"cells"), "{paths:?}");
         assert!(paths.contains(&"gone"), "{paths:?}");
@@ -217,8 +197,34 @@ mod tests {
     fn cross_mode_comparison_is_refused_with_one_clear_diff() {
         let b = parse(r#"{"mode": "full", "cells": [1, 2, 3]}"#).unwrap();
         let f = parse(r#"{"mode": "smoke", "cells": [1]}"#).unwrap();
-        let diffs = compare(&b, &f, 0.0);
+        let diffs = compare(&b, &f);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].path, "mode");
+    }
+
+    #[test]
+    fn same_mode_pair_that_differs_fails() {
+        let committed = parse(r#"{"bench": "b", "mode": "smoke", "safe_stops": 3}"#).unwrap();
+        let fresh = parse(r#"{"bench": "b", "mode": "smoke", "safe_stops": 4}"#).unwrap();
+        let diffs = check_pair(&committed, &fresh).expect("same mode is compared");
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(diffs[0].path, "safe_stops");
+        assert_eq!(check_pair(&committed, &committed), Some(Vec::new()));
+    }
+
+    #[test]
+    fn cross_mode_pair_is_only_parsed() {
+        let committed = parse(r#"{"bench": "b", "mode": "full", "cells": [1, 2, 3]}"#).unwrap();
+        let fresh = parse(r#"{"bench": "b", "mode": "smoke", "cells": [1]}"#).unwrap();
+        assert_eq!(check_pair(&committed, &fresh), None);
+    }
+
+    #[test]
+    fn validate_requires_the_bench_id_and_its_keys() {
+        let ok = parse(r#"{"bench": "bench_soak", "mode": "full"}"#).unwrap();
+        assert_eq!(validate(&ok), Ok("bench_soak"));
+        assert!(validate(&parse(r#"{"mode": "full"}"#).unwrap()).is_err());
+        let partial = parse(r#"{"bench": "bench_fleet", "seed": 1, "mode": "full"}"#).unwrap();
+        assert!(validate(&partial).unwrap_err().contains("parity"));
     }
 }

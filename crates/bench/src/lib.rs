@@ -6,11 +6,30 @@
 //! numbers. Paper numbers live in [`paper`] and are used **only** for
 //! comparison columns — measured values come from the models and
 //! implementations in this workspace.
+//!
+//! The `bench_*` binaries check contracts (parity, determinism,
+//! containment, coverage, causality, accuracy) and record only
+//! deterministic fields; wall-clock timing is perfbench's job
+//! (`benchmark/`).
 
 pub mod check;
 pub mod json;
 pub mod paper;
-pub mod timing;
+
+/// Directory, relative to the working directory, that every `bench_*`
+/// binary writes its artifacts into. Committed baselines live at the
+/// repo root; `bench_check --all` compares the two.
+pub const ARTIFACT_DIR: &str = "target/bench";
+
+/// Writes one artifact into [`ARTIFACT_DIR`] and reports where.
+pub fn write_artifact(name: &str, contents: &str) {
+    let path = std::path::Path::new(ARTIFACT_DIR).join(name);
+    std::fs::create_dir_all(ARTIFACT_DIR)
+        .unwrap_or_else(|e| panic!("cannot create {ARTIFACT_DIR}: {e}"));
+    std::fs::write(&path, contents)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("\nwrote {}", path.display());
+}
 
 /// Prints a section header.
 pub fn header(id: &str, title: &str) {

@@ -1949,7 +1949,11 @@ mod tests {
             first.push((out.result.pose, format!("{:?}", out.result.plan)));
         }
         let end_events = format!("{:?}", sup.events());
-        let end_stats = format!("{:?}", sup.recovery_stats());
+        // `deadline_misses` counts reported latency, which includes wall
+        // clock and so moves with host load between the two passes;
+        // every other field is a pure function of the seeds.
+        let seeded = |s: RecoveryStats| RecoveryStats { deadline_misses: 0, ..s };
+        let end_stats = seeded(sup.recovery_stats());
 
         let ck = ck.expect("checkpoint taken at frame 3");
         assert_eq!(ck.frames_done(), 3);
@@ -1963,7 +1967,7 @@ mod tests {
         }
         assert_eq!(second, first[3..], "replay from the checkpoint is bit-identical");
         assert_eq!(format!("{:?}", sup.events()), end_events);
-        assert_eq!(format!("{:?}", sup.recovery_stats()), end_stats);
+        assert_eq!(seeded(sup.recovery_stats()), end_stats);
     }
 
     #[test]
