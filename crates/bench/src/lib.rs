@@ -13,8 +13,9 @@
 //! (`benchmark/`).
 
 pub mod check;
-pub mod json;
 pub mod paper;
+
+pub use adsim_trace::json;
 
 /// Directory, relative to the working directory, that every `bench_*`
 /// binary writes its artifacts into. Committed baselines live at the

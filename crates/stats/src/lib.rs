@@ -23,13 +23,11 @@
 mod histogram;
 mod recorder;
 pub mod rng;
-mod streaming;
 mod summary;
 
 pub use histogram::{Histogram, HistogramBin};
 pub use recorder::LatencyRecorder;
 pub use rng::Rng64;
-pub use streaming::P2Quantile;
 pub use summary::LatencySummary;
 
 /// Common latency quantiles used throughout the paper's evaluation.

@@ -105,9 +105,53 @@ impl Rng64 {
     }
 }
 
+/// Runs `check` once per case, seeding case `i`'s generator with
+/// `Rng64::new(i)` for `i` in `0..n`: a seeded property test with no
+/// shrinking. A failing case re-panics with its seed, so
+/// `Rng64::new(seed)` replays exactly the inputs that failed.
+///
+/// # Examples
+///
+/// ```
+/// use adsim_stats::rng::cases;
+///
+/// cases(64, |rng| {
+///     let (a, b) = (rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0));
+///     assert_eq!(a + b, b + a);
+/// });
+/// ```
+pub fn cases(n: u64, mut check: impl FnMut(&mut Rng64)) {
+    for seed in 0..n {
+        let mut rng = Rng64::new(seed);
+        let run = std::panic::AssertUnwindSafe(|| check(&mut rng));
+        if let Err(payload) = std::panic::catch_unwind(run) {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic");
+            panic!("case seed {seed} failed (replay with Rng64::new({seed})): {msg}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cases_names_the_failing_seed() {
+        let mut seen = 0;
+        cases(5, |_| seen += 1);
+        assert_eq!(seen, 5);
+        // Fails on exactly one case: the one seeded with 7.
+        let err = std::panic::catch_unwind(|| {
+            cases(10, |rng| assert!(rng.next_u64() != Rng64::new(7).next_u64(), "boom"))
+        })
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.starts_with("case seed 7 failed") && msg.ends_with("boom"), "{msg}");
+    }
 
     #[test]
     fn equal_seeds_yield_equal_streams() {

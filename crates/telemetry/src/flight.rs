@@ -7,6 +7,8 @@
 //! function of the cell spec and compares byte-identically across
 //! worker counts, like every other fleet output.
 
+use adsim_trace::json::push_escaped;
+
 /// Per-frame fault bits ([`FrameRecord::fault_bits`]).
 pub const FAULT_BLACKOUT: u16 = 1 << 0;
 /// Stuck (repeated) sensor frame.
@@ -141,24 +143,6 @@ pub struct FlightDump {
     pub records: Vec<FrameRecord>,
 }
 
-/// Minimal JSON string escaping for panic-message excerpts (quotes,
-/// backslashes, control characters).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl FlightDump {
     /// Hand-rolled JSON rendering (offline policy: no serde). Digests
     /// render as hex strings so 64-bit values never hit number
@@ -180,7 +164,7 @@ impl FlightDump {
                 "{{\"frame\": {}, \"stages_ms\": [{det}, {tra}, {loc}, {fus}, {mot}], \
                  \"e2e_ms\": {}, \"rung\": \"{}\", \"modes\": {}, \"monitors\": {}, \
                  \"faults\": {}, \"digest\": \"{:#x}\", \"forecast_ms\": {}, \
-                 \"crashed\": {}, \"panic_msg\": \"{}\"}}",
+                 \"crashed\": {}, \"panic_msg\": \"",
                 r.frame,
                 r.virtual_e2e_ms,
                 r.quality_rung,
@@ -190,8 +174,9 @@ impl FlightDump {
                 r.payload_digest,
                 r.forecast_e2e_ms,
                 r.crashed,
-                escape_json(&r.panic_msg),
             ));
+            push_escaped(&mut s, &r.panic_msg);
+            s.push_str("\"}");
         }
         s.push_str("]}");
         s

@@ -12,8 +12,13 @@
 //!   with scalar to ≤1e-5 **relative** error;
 //! * for a fixed backend, every kernel is bit-identical across
 //!   1/2/8-thread runtimes.
+//!
+//! The GEMM, conv and Hamming tests add seeded random shapes
+//! ([`cases`]) to their fixed lists.
 
 use adsim_runtime::Runtime;
+use adsim_stats::rng::cases;
+use adsim_stats::Rng64;
 use adsim_tensor::simd::{self, Isa};
 use adsim_tensor::{ops, Tensor};
 
@@ -30,6 +35,16 @@ fn fill(shape: impl Into<adsim_tensor::Shape>) -> Tensor {
             .collect(),
     )
     .unwrap()
+}
+
+/// Uniform values in `[-0.7, 0.7)`, the same span as [`fill`].
+fn random(shape: impl Into<adsim_tensor::Shape>, rng: &mut Rng64) -> Tensor {
+    Tensor::from_fn(shape, |_| rng.range_f32(-0.7, 0.7))
+}
+
+/// A random GEMM shape: m < 40, k < 600, n < 70.
+fn random_mkn(rng: &mut Rng64) -> (usize, usize, usize) {
+    (rng.range_usize(1, 40), rng.range_usize(1, 600), rng.range_usize(1, 70))
 }
 
 fn assert_rel_close(a: &Tensor, b: &Tensor, ctx: &str) {
@@ -65,20 +80,26 @@ fn dispatch_reports_both_paths() {
 
 #[test]
 fn matmul_simd_matches_scalar_within_fma_tolerance() {
+    let check = |a: &Tensor, b: &Tensor| {
+        let (m, k, n) = (a.shape().dim(0), a.shape().dim(1), b.shape().dim(1));
+        let scalar = ops::matmul_isa(&Runtime::serial(), a, b, Isa::SCALAR).unwrap();
+        for t in THREADS {
+            let rt = Runtime::new(t);
+            let vec = ops::matmul_isa(&rt, a, b, simd::active()).unwrap();
+            assert_rel_close(&vec, &scalar, &format!("matmul {m}x{k}x{n} t={t}"));
+            let sc = ops::matmul_isa(&rt, a, b, Isa::SCALAR).unwrap();
+            assert_bits_equal(&sc, &scalar, &format!("scalar matmul {m}x{k}x{n} t={t}"));
+        }
+    };
     // Non-multiple-of-4 rows, non-multiple-of-16 columns, and a
     // k larger than one 256-row panel.
     for (m, k, n) in [(1, 1, 1), (4, 8, 16), (7, 300, 23), (33, 65, 40)] {
-        let a = fill([m, k]);
-        let b = fill([k, n]);
-        let scalar = ops::matmul_isa(&Runtime::serial(), &a, &b, Isa::SCALAR).unwrap();
-        for t in THREADS {
-            let rt = Runtime::new(t);
-            let vec = ops::matmul_isa(&rt, &a, &b, simd::active()).unwrap();
-            assert_rel_close(&vec, &scalar, &format!("matmul {m}x{k}x{n} t={t}"));
-            let sc = ops::matmul_isa(&rt, &a, &b, Isa::SCALAR).unwrap();
-            assert_bits_equal(&sc, &scalar, &format!("scalar matmul {m}x{k}x{n} t={t}"));
-        }
+        check(&fill([m, k]), &fill([k, n]));
     }
+    cases(32, |rng| {
+        let (m, k, n) = random_mkn(rng);
+        check(&random([m, k], rng), &random([k, n], rng));
+    });
 }
 
 #[test]
@@ -98,31 +119,35 @@ fn linear_simd_matches_scalar_within_fma_tolerance() {
 
 #[test]
 fn conv2d_simd_matches_scalar_within_fma_tolerance() {
-    let input = fill([2, 3, 13, 17]);
-    let weight = fill([5, 3, 3, 3]);
-    let bias = fill([5]);
-    for (stride, pad) in [(1, 1), (2, 0)] {
-        let scalar = ops::conv2d_isa(
-            &Runtime::serial(),
-            &input,
-            &weight,
-            Some(&bias),
-            stride,
-            pad,
-            Isa::SCALAR,
-        )
-        .unwrap();
+    let check = |input: &Tensor, weight: &Tensor, bias: &Tensor, stride: usize, pad: usize| {
+        let conv = |rt: &Runtime, isa: Isa| {
+            ops::conv2d_isa(rt, input, weight, Some(bias), stride, pad, isa).unwrap()
+        };
+        let shapes = format!("{:?} * {:?}", input.shape().dims(), weight.shape().dims());
+        let scalar = conv(&Runtime::serial(), Isa::SCALAR);
         for t in THREADS {
             let rt = Runtime::new(t);
-            let vec =
-                ops::conv2d_isa(&rt, &input, &weight, Some(&bias), stride, pad, simd::active())
-                    .unwrap();
-            assert_rel_close(&vec, &scalar, &format!("conv s={stride} p={pad} t={t}"));
-            let sc = ops::conv2d_isa(&rt, &input, &weight, Some(&bias), stride, pad, Isa::SCALAR)
-                .unwrap();
-            assert_bits_equal(&sc, &scalar, &format!("scalar conv s={stride} p={pad} t={t}"));
+            let ctx = format!("conv {shapes} s={stride} p={pad} t={t}");
+            assert_rel_close(&conv(&rt, simd::active()), &scalar, &ctx);
+            assert_bits_equal(&conv(&rt, Isa::SCALAR), &scalar, &format!("scalar {ctx}"));
         }
+    };
+    let (input, weight, bias) = (fill([2, 3, 13, 17]), fill([5, 3, 3, 3]), fill([5]));
+    for (stride, pad) in [(1, 1), (2, 0)] {
+        check(&input, &weight, &bias, stride, pad);
     }
+    // Batch ≤ 2, c_in ≤ 4, c_out ≤ 9, kernel ≤ 5, stride 1–2, pad 0–2;
+    // the padded input always holds one kernel window.
+    cases(32, |rng| {
+        let mut dim = |lo, hi| rng.range_usize(lo, hi);
+        let (n, c_in, c_out) = (dim(1, 3), dim(1, 5), dim(1, 10));
+        let (kk, stride, pad) = (dim(1, 6), dim(1, 3), dim(0, 3));
+        let min_extent = kk.saturating_sub(2 * pad).max(1);
+        let (h, w) = (dim(min_extent, 25), dim(min_extent, 25));
+        let input = random([n, c_in, h, w], rng);
+        let weight = random([c_out, c_in, kk, kk], rng);
+        check(&input, &weight, &random([c_out], rng), stride, pad);
+    });
 }
 
 #[test]
@@ -212,21 +237,30 @@ fn matmul_i8_is_bit_identical_across_backends_and_threads() {
     // contract here is bit-identity — across backends, thread counts
     // and tilings alike. Shapes cover the 16/8/scalar column tails,
     // odd k (the (a_k, 0) trailing pair), and k > one 256-row panel.
-    for (m, k, n) in [(1, 1, 1), (4, 8, 16), (7, 301, 23), (33, 65, 40)] {
-        let a = fill_i8(m * k);
-        let b = fill_i8(k * n);
-        let mut scalar = vec![0i32; m * n];
-        ops::matmul_i8_into(&Runtime::serial(), Isa::SCALAR, &a, &b, &mut scalar, m, k, n);
+    let check = |a: &[i8], b: &[i8], (m, k, n): (usize, usize, usize)| {
+        let matmul = |rt: &Runtime, isa: Isa| {
+            let mut out = vec![0i32; m * n];
+            ops::matmul_i8_into(rt, isa, a, b, &mut out, m, k, n);
+            out
+        };
+        let scalar = matmul(&Runtime::serial(), Isa::SCALAR);
         for t in THREADS {
             let rt = Runtime::new(t);
-            let mut vec_out = vec![0i32; m * n];
-            ops::matmul_i8_into(&rt, simd::active(), &a, &b, &mut vec_out, m, k, n);
-            assert_eq!(vec_out, scalar, "matmul_i8 {m}x{k}x{n} t={t}");
-            let mut sc = vec![0i32; m * n];
-            ops::matmul_i8_into(&rt, Isa::SCALAR, &a, &b, &mut sc, m, k, n);
-            assert_eq!(sc, scalar, "scalar matmul_i8 {m}x{k}x{n} t={t}");
+            assert_eq!(matmul(&rt, simd::active()), scalar, "matmul_i8 {m}x{k}x{n} t={t}");
+            assert_eq!(matmul(&rt, Isa::SCALAR), scalar, "scalar matmul_i8 {m}x{k}x{n} t={t}");
         }
+    };
+    for (m, k, n) in [(1, 1, 1), (4, 8, 16), (7, 301, 23), (33, 65, 40)] {
+        check(&fill_i8(m * k), &fill_i8(k * n), (m, k, n));
     }
+    cases(32, |rng| {
+        let (m, k, n) = random_mkn(rng);
+        let mut random_i8 = |len| -> Vec<i8> {
+            (0..len).map(|_| (rng.range_usize(0, 255) as i32 - 127) as i8).collect()
+        };
+        let (a, b) = (random_i8(m * k), random_i8(k * n));
+        check(&a, &b, (m, k, n));
+    });
 }
 
 #[test]
@@ -480,4 +514,12 @@ fn hamming_is_exact_on_both_backends() {
     assert_eq!(simd::hamming256_isa(Isa::SCALAR, &a, &b), 32);
     assert_eq!(simd::hamming256_isa(simd::active(), &a, &b), 32);
     assert_eq!(simd::hamming256(&a, &b), 32);
+    cases(32, |rng| {
+        let a: [u8; 32] = std::array::from_fn(|_| rng.next_u64() as u8);
+        let b: [u8; 32] = std::array::from_fn(|_| rng.next_u64() as u8);
+        let want: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
+        assert_eq!(simd::hamming256_isa(Isa::SCALAR, &a, &b), want);
+        assert_eq!(simd::hamming256_isa(simd::active(), &a, &b), want);
+        assert_eq!(simd::hamming256(&a, &b), want);
+    });
 }

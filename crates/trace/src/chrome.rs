@@ -1,20 +1,9 @@
-//! Chrome trace-event JSON exporter and a minimal JSON well-formedness
-//! checker (the workspace has no serde; both are hand-rolled).
+//! Chrome trace-event JSON exporter and the JSON well-formedness check
+//! its round-trip tests use (the workspace has no serde; both are
+//! hand-rolled).
 
+use crate::json::{self, push_escaped};
 use crate::recorder::{Event, EventKind, NO_INDEX};
-
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
 
 fn category(name: &str) -> &'static str {
     match name.split('.').next() {
@@ -77,175 +66,9 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
 }
 
 /// Checks that `s` is one well-formed JSON value with no trailing
-/// garbage. A recursive-descent checker, not a parser: it validates
-/// structure (used by the exporter round-trip tests) without building a
-/// document tree.
+/// garbage: [`json::parse`] with the document tree dropped.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos}", pos = *pos)),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let mut frac = 0;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-            frac += 1;
-        }
-        if frac == 0 {
-            return Err(format!("bad fraction at byte {pos}", pos = *pos));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        let mut exp = 0;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-            exp += 1;
-        }
-        if exp == 0 {
-            return Err(format!("bad exponent at byte {pos}", pos = *pos));
-        }
-    }
-    Ok(())
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {p}", p = *pos));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {p}", p = *pos)),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {p}", p = *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {p}", p = *pos));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {p}", p = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {p}", p = *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {p}", p = *pos)),
-        }
-    }
+    json::parse(s).map(|_| ())
 }
 
 #[cfg(test)]
@@ -311,6 +134,9 @@ mod tests {
             "\"a\\n\\u00e9\"",
             "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
             "  { \"k\" : [ 1 , 2 ] }  ",
+            "0",
+            "-0",
+            "0.5",
         ] {
             validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
         }
@@ -331,6 +157,9 @@ mod tests {
             "{\"a\":1,}",
             "1.",
             "1e",
+            "01",
+            "-01",
+            "00.5",
         ] {
             assert!(validate_json(bad).is_err(), "accepted malformed: {bad:?}");
         }

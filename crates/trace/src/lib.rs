@@ -18,14 +18,15 @@
 //!   thread exits (the runtime's workers are scoped and short-lived) or
 //!   when the session is finished.
 //! * **No-op when disabled.** The disabled fast path is a single
-//!   relaxed atomic load; the `noop` cargo feature additionally
-//!   compiles every recording entry point down to nothing.
+//!   relaxed atomic load.
 //! * **Streaming metrics.** Fixed-memory log-bucketed histograms
 //!   ([`LogHistogram`]) accumulate per span name while recording, so
 //!   p50/p95/p99/p99.99 summaries are available even for runs whose
 //!   full event stream would not fit in memory.
 //! * **Exporters.** Chrome trace-event JSON (loadable in Perfetto or
 //!   `chrome://tracing`) and a plain-text per-stage summary table.
+//! * **One JSON reader.** [`json`] holds the workspace's string
+//!   escaper and document parser.
 //!
 //! # Examples
 //!
@@ -39,13 +40,13 @@
 //!     // ... work ...
 //! }
 //! let t = session.finish();
-//! #[cfg(not(feature = "noop"))]
 //! assert_eq!(t.span_count("stage.det"), 1);
 //! let json = t.chrome_json();
 //! assert!(trace::validate_json(&json).is_ok());
 //! ```
 
 mod chrome;
+pub mod json;
 mod loghist;
 mod recorder;
 mod summary;

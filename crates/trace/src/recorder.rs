@@ -54,7 +54,7 @@ static SESSION_ACTIVE: AtomicBool = AtomicBool::new(false);
 /// path of every recording entry point is this one relaxed load.
 #[inline]
 pub fn enabled() -> bool {
-    !cfg!(feature = "noop") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 fn epoch() -> Instant {
@@ -380,24 +380,7 @@ impl Drop for TraceSession {
     }
 }
 
-#[cfg(all(test, feature = "noop"))]
-mod noop_tests {
-    use super::*;
-
-    #[test]
-    fn noop_feature_compiles_recording_out() {
-        let session = TraceSession::begin();
-        assert!(!enabled(), "noop build never reports enabled");
-        {
-            let _s = span("test.noop").with_cost(1, 1);
-            instant("test.noop.instant");
-            counter("test.noop.counter", 1.0);
-        }
-        assert!(session.finish().is_empty());
-    }
-}
-
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
