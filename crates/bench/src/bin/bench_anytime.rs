@@ -33,6 +33,8 @@
 //! cargo run --release -p adsim-bench --bin bench_anytime [-- --smoke]
 //! ```
 
+use adsim_bench::json::{self, fixed, obj, Value};
+use adsim_bench::{parity_json, Mode};
 use adsim_core::{
     AnytimeConfig, DegradationCause, DegradationEventKind, DegradedMode, ModeledPipeline,
     ModeledSupervisor, NativePipelineConfig, PlatformConfig, SupervisorConfig,
@@ -220,8 +222,8 @@ fn early_action_probe() -> Probe {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (n_seeds, frames, mode) = if smoke { (1u64, 60usize, "smoke") } else { (3, 240, "full") };
+    let mode = Mode::from_args();
+    let (n_seeds, frames) = mode.pick((1u64, 60usize), (3, 240));
 
     adsim_bench::header(
         "Anytime",
@@ -345,10 +347,8 @@ fn main() {
     );
 }
 
-/// Hand-rolled JSON (offline policy: no serde). All values are numbers,
-/// booleans or plain ASCII identifiers, so no escaping is required.
 fn to_json(
-    mode: &str,
+    mode: Mode,
     frames: usize,
     n_seeds: u64,
     parity: &[(usize, bool)],
@@ -356,50 +356,29 @@ fn to_json(
     points: &[FrontierPoint],
     probe: &Probe,
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"bench_anytime\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"frames_per_cell\": {frames},\n"));
-    s.push_str(&format!("  \"seeds_per_point\": {n_seeds},\n"));
-    s.push_str(&format!("  \"max_mota_cost\": {MAX_MOTA_COST},\n"));
-    s.push_str("  \"parity\": [");
-    for (i, (workers, ok)) in parity.iter().enumerate() {
-        s.push_str(&format!(
-            "{{\"workers\": {workers}, \"byte_identical\": {ok}}}{}",
-            if i + 1 < parity.len() { ", " } else { "" }
-        ));
-    }
-    s.push_str("],\n");
-    s.push_str(&format!("  \"rerun_byte_identical\": {rerun_ok},\n"));
-    s.push_str("  \"frontier\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"governor\": \"{}\", \"virtual_miss_rate\": {:.6}, \
-             \"mota\": {:.6}, \"degraded_rate\": {:.6}, \"quality_switches\": {}, \
-             \"quality_reduced_frames\": {}}}{}\n",
-            p.mix,
-            p.policy,
-            p.virtual_miss_rate,
-            p.mota,
-            p.degraded_rate,
-            p.quality_switches,
-            p.quality_reduced_frames,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"early_action_probe\": {{\"seed\": {}, \"governor_frame\": {}, \
-         \"watchdog_frame\": {}, \"lead_frames\": {}, \"virtual_misses_off\": {}, \
-         \"virtual_misses_on\": {}}}\n",
-        probe.seed,
-        probe.governor_frame,
-        probe.watchdog_frame,
-        probe.watchdog_frame as i64 - probe.governor_frame as i64,
-        probe.misses_off,
-        probe.misses_on,
-    ));
-    s.push_str("}\n");
-    s
+    let frontier = points.iter().map(|p| {
+        obj([
+            ("mix", p.mix.into()), ("governor", p.policy.into()),
+            ("virtual_miss_rate", fixed(p.virtual_miss_rate, 6)), ("mota", fixed(p.mota, 6)),
+            ("degraded_rate", fixed(p.degraded_rate, 6)),
+            ("quality_switches", p.quality_switches.into()),
+            ("quality_reduced_frames", p.quality_reduced_frames.into()),
+        ])
+    });
+    let lead_frames = probe.watchdog_frame as i64 - probe.governor_frame as i64;
+    let probe = obj([
+        ("seed", probe.seed.into()), ("governor_frame", probe.governor_frame.into()),
+        ("watchdog_frame", probe.watchdog_frame.into()), ("lead_frames", lead_frames.into()),
+        ("virtual_misses_off", probe.misses_off.into()),
+        ("virtual_misses_on", probe.misses_on.into()),
+    ]);
+    json::render(&obj([
+        ("bench", "bench_anytime".into()), ("seed", SEED.into()), ("mode", mode.name().into()),
+        ("frames_per_cell", frames.into()), ("seeds_per_point", n_seeds.into()),
+        ("max_mota_cost", MAX_MOTA_COST.into()),
+        ("parity", parity_json(parity, "byte_identical")),
+        ("rerun_byte_identical", rerun_ok.into()),
+        ("frontier", Value::Arr(frontier.collect())),
+        ("early_action_probe", probe),
+    ]))
 }

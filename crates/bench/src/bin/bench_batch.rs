@@ -19,6 +19,8 @@
 //! cargo run --release -p adsim-bench --bin bench_batch [-- --smoke]
 //! ```
 
+use adsim_bench::json::{self, fixed, obj, Value};
+use adsim_bench::Mode;
 use adsim_dnn::detection::{decode_grid, nms};
 use adsim_dnn::models::yolo_tiny_shared;
 use adsim_dnn::quant::QuantNetwork;
@@ -89,8 +91,7 @@ fn measure_detection_delta(qnet: &QuantNetwork, rt: &Runtime, input: &Tensor) ->
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mode = if smoke { "smoke" } else { "full" };
+    let mode = Mode::from_args();
 
     adsim_bench::header(
         "Batch",
@@ -128,41 +129,29 @@ fn main() {
     adsim_bench::write_artifact("BENCH_batch.json", &to_json(mode, parity, &errors, &delta));
 }
 
-/// Hand-rolled JSON (offline policy: no serde). All values are numbers,
-/// booleans or plain ASCII identifiers, so no escaping is required.
 fn to_json(
-    mode: &str,
+    mode: Mode,
     parity: bool,
     errors: &[adsim_dnn::quant::LayerError],
     delta: &DetectionDelta,
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"bench_batch\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"batch1_parity_bitwise\": {parity},\n"));
-    s.push_str("  \"layer_errors\": [\n");
-    for (i, e) in errors.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"layer\": {}, \"kind\": \"{}\", \"max_abs_error\": {:.6}, \
-             \"output_scale\": {:.6}}}{}\n",
-            e.index,
-            e.kind,
-            e.max_abs_error,
-            e.output_scale,
-            if i + 1 < errors.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"detection_delta\": {{\"raw_cells\": {}, \"max_box_delta\": {:.6}, \
-         \"max_score_delta\": {:.6}, \"dets_f32\": {}, \"dets_int8\": {}}}\n",
-        delta.raw_cells,
-        delta.max_box_delta,
-        delta.max_score_delta,
-        delta.dets_f32,
-        delta.dets_int8,
-    ));
-    s.push_str("}\n");
-    s
+    let layer_errors = errors.iter().map(|e| {
+        obj([
+            ("layer", e.index.into()), ("kind", e.kind.into()),
+            ("max_abs_error", fixed(e.max_abs_error.into(), 6)),
+            ("output_scale", fixed(e.output_scale.into(), 6)),
+        ])
+    });
+    let delta = obj([
+        ("raw_cells", delta.raw_cells.into()),
+        ("max_box_delta", fixed(delta.max_box_delta.into(), 6)),
+        ("max_score_delta", fixed(delta.max_score_delta.into(), 6)),
+        ("dets_f32", delta.dets_f32.into()), ("dets_int8", delta.dets_int8.into()),
+    ]);
+    json::render(&obj([
+        ("bench", "bench_batch".into()), ("seed", SEED.into()), ("mode", mode.name().into()),
+        ("batch1_parity_bitwise", parity.into()),
+        ("layer_errors", Value::Arr(layer_errors.collect())),
+        ("detection_delta", delta),
+    ]))
 }

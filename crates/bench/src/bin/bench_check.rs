@@ -1,15 +1,17 @@
 //! Baseline checker for `BENCH_*.json` artifacts.
 //!
 //! Every bench binary writes its artifacts to `target/bench/`; the
-//! committed full-mode baselines sit at the repo root. Every field is
-//! deterministic, so comparisons are exact (EXPERIMENTS.md, "Baseline
-//! checking"). Two modes:
+//! committed baselines sit at the repo root, one per bench and mode
+//! (`BENCH_<x>.json` for full, `BENCH_<x>.smoke.json` for smoke). Every
+//! field is deterministic, so comparisons are exact (EXPERIMENTS.md,
+//! "Baseline checking"). Two modes:
 //!
 //! * `--all` — parse and schema-check every `BENCH_*.json` at the root
 //!   and in `target/bench/`, and exact-compare each fresh artifact with
-//!   the committed one of the same name whenever their `"mode"` fields
-//!   agree. This is the tier-1 wiring: a parse failure means a writer
-//!   regressed, a diff means a contract drifted.
+//!   the committed one of the same `bench` id and `"mode"`, whatever
+//!   its file name. A fresh artifact with no such baseline fails. This
+//!   is the tier-1 wiring: a parse failure means a writer regressed, a
+//!   diff means a contract drifted.
 //! * `<baseline> <fresh>` — exact comparison of two artifacts;
 //!   cross-mode comparisons (smoke vs full) are refused.
 //!
@@ -19,7 +21,7 @@
 //!     BENCH_soak.json target/bench/BENCH_soak.json
 //! ```
 
-use adsim_bench::check::{check_pair, compare, validate, Diff};
+use adsim_bench::check::{compare, same_run, validate, Diff};
 use adsim_bench::json::{parse, Value};
 use adsim_bench::ARTIFACT_DIR;
 use std::path::{Path, PathBuf};
@@ -65,34 +67,38 @@ fn report(diffs: &[Diff], against: &Path) {
 }
 
 fn check_all() {
-    let committed = artifacts(Path::new("."));
+    let committed: Vec<(PathBuf, Value)> = artifacts(Path::new("."))
+        .into_iter()
+        .map(|path| {
+            let (doc, bench) = load_valid(&path);
+            println!("  {}: ok ({bench})", path.display());
+            (path, doc)
+        })
+        .collect();
     let fresh = artifacts(Path::new(ARTIFACT_DIR));
     assert!(
         !committed.is_empty() || !fresh.is_empty(),
         "bench_check --all: no BENCH_*.json artifacts found"
     );
-    for path in &committed {
-        let (_, bench) = load_valid(path);
-        println!("  {}: ok ({bench})", path.display());
-    }
     let mut failed = false;
     for path in &fresh {
         let (doc, bench) = load_valid(path);
-        let baseline = Path::new(".").join(path.file_name().expect("artifact has a name"));
-        let verdict = if committed.contains(&baseline) {
-            match check_pair(&load(&baseline), &doc) {
-                None => "mode differs from committed, parsed only",
-                Some(diffs) if diffs.is_empty() => "matches committed exactly",
-                Some(diffs) => {
-                    report(&diffs, &baseline);
-                    failed = true;
-                    "DIVERGED from committed"
-                }
-            }
-        } else {
-            "no committed baseline"
+        let mode = doc.get("mode").and_then(Value::as_str).unwrap_or("no mode");
+        let Some((baseline, committed_doc)) = committed.iter().find(|(_, c)| same_run(c, &doc))
+        else {
+            println!("  {}: {bench} {mode}, NO committed {mode} baseline", path.display());
+            failed = true;
+            continue;
         };
-        println!("  {}: {bench}, {verdict}", path.display());
+        let diffs = compare(committed_doc, &doc);
+        let verdict = if diffs.is_empty() {
+            "matches committed exactly"
+        } else {
+            report(&diffs, baseline);
+            failed = true;
+            "DIVERGED from committed"
+        };
+        println!("  {}: {bench} {mode}, {verdict} ({})", path.display(), baseline.display());
     }
     if failed {
         std::process::exit(1);

@@ -13,12 +13,14 @@
 //! latency lives in perfbench (`frame_ms_p50`/`p90` on `fleet_faults`).
 //!
 //! ```text
-//! cargo run --release -p adsim-bench --bin bench_faults [-- --quick]
+//! cargo run --release -p adsim-bench --bin bench_faults [-- --smoke]
 //! ```
 //!
-//! `--quick` shrinks the grid and frame counts for smoke-testing the
+//! `--smoke` shrinks the grid and frame counts for smoke-testing the
 //! runner itself.
 
+use adsim_bench::json::{self, fixed, obj, Value};
+use adsim_bench::Mode;
 use adsim_core::{ModeledPipeline, ModeledSupervisor, PlatformConfig, SupervisorConfig};
 use adsim_faults::{FaultConfig, FaultInjector};
 use adsim_fleet::{run_cell, CellOutcome, CellSpec, FleetConfig, FleetEngine};
@@ -98,11 +100,11 @@ fn report_cell(c: &Cell) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mode = Mode::from_args();
     let res = Resolution::Hhd;
-    let rates: &[f64] = if quick { &[0.0, 0.10] } else { &[0.0, 0.05, 0.15] };
-    let native_frames = if quick { 10 } else { 40 };
-    let modeled_frames = if quick { 200 } else { 2000 };
+    let rates: &[f64] = mode.pick(&[0.0, 0.10], &[0.0, 0.05, 0.15]);
+    let native_frames = mode.pick(10, 40);
+    let modeled_frames = mode.pick(200, 2000);
 
     adsim_bench::header(
         "Faults",
@@ -196,40 +198,27 @@ fn main() {
         }
     }
 
-    let mode = if quick { "quick" } else { "full" };
     adsim_bench::write_artifact("BENCH_faults.json", &to_json(mode, deterministic, &cells));
 }
 
-/// Hand-rolled JSON (offline policy: no serde). All values are numbers,
-/// booleans or plain ASCII identifiers, so no escaping is required.
-fn to_json(mode: &str, deterministic: bool, cells: &[Cell]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"bench_faults\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"event_log_deterministic\": {deterministic},\n"));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let latency = c.modeled_latency.map_or(String::new(), |(miss_rate, p99_ms)| {
-            format!(", \"miss_rate\": {miss_rate:.6}, \"p99_ms\": {p99_ms:.4}")
-        });
-        s.push_str(&format!(
-            "    {{\"section\": \"{}\", \"blackout_rate\": {}, \"lock_loss_rate\": {}, \
-             \"frames\": {}, \"events\": {}, \"episodes\": {}, \"mean_ttr_frames\": {:.4}, \
-             \"degraded_rate\": {:.6}, \"safe_stops\": {}, \"retries\": {}{latency}}}{}\n",
-            c.section,
-            c.blackout_rate,
-            c.lock_loss_rate,
-            c.frames,
-            c.events,
-            c.episodes,
-            c.mean_ttr_frames,
-            c.degraded_rate,
-            c.safe_stops,
-            c.retries,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn to_json(mode: Mode, deterministic: bool, cells: &[Cell]) -> String {
+    let cells = cells.iter().map(|c| {
+        let mut m = vec![
+            ("section", c.section.into()), ("blackout_rate", c.blackout_rate.into()),
+            ("lock_loss_rate", c.lock_loss_rate.into()), ("frames", c.frames.into()),
+            ("events", c.events.into()), ("episodes", c.episodes.into()),
+            ("mean_ttr_frames", fixed(c.mean_ttr_frames, 4)),
+            ("degraded_rate", fixed(c.degraded_rate, 6)), ("safe_stops", c.safe_stops.into()),
+            ("retries", c.retries.into()),
+        ];
+        if let Some((miss_rate, p99_ms)) = c.modeled_latency {
+            m.extend([("miss_rate", fixed(miss_rate, 6)), ("p99_ms", fixed(p99_ms, 4))]);
+        }
+        obj(m)
+    });
+    json::render(&obj([
+        ("bench", "bench_faults".into()), ("seed", SEED.into()), ("mode", mode.name().into()),
+        ("event_log_deterministic", deterministic.into()),
+        ("cells", Value::Arr(cells.collect())),
+    ]))
 }

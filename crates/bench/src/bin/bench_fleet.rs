@@ -23,6 +23,8 @@
 //! cargo run --release -p adsim-bench --bin bench_fleet [-- --smoke]
 //! ```
 
+use adsim_bench::json::{self, fixed, obj, Value};
+use adsim_bench::{parity_json, Mode};
 use adsim_core::{DetectorKind, NativePipelineConfig, TrackerKind};
 use adsim_dnn::models::{goturn_tiny, goturn_tiny_shared, yolo_tiny, yolo_tiny_shared};
 use adsim_dnn::Network;
@@ -139,9 +141,8 @@ fn measure_memory(vehicles: usize) -> MemoryReport {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (n_seeds, frames, vehicles, mode) =
-        if smoke { (2u64, 6usize, 64usize, "smoke") } else { (3, 24, 256, "full") };
+    let mode = Mode::from_args();
+    let (n_seeds, frames, vehicles) = mode.pick((2u64, 6usize, 64usize), (3, 24, 256));
 
     adsim_bench::header(
         "Fleet",
@@ -220,57 +221,34 @@ fn main() {
     );
 }
 
-/// Hand-rolled JSON (offline policy: no serde). All values are numbers,
-/// booleans or plain ASCII identifiers, so no escaping is required.
 /// `full` holds the campaign totals, which are the same at every worker
 /// count; they are read from the serial reference.
 fn to_json(
-    mode: &str,
+    mode: Mode,
     parity: &[(usize, bool)],
     mem: &MemoryReport,
     campaigns: &[CampaignResult],
     reference: &CampaignResult,
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"bench_fleet\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str("  \"parity\": [");
-    for (i, (workers, ok)) in parity.iter().enumerate() {
-        s.push_str(&format!(
-            "{{\"workers\": {workers}, \"byte_identical\": {ok}}}{}",
-            if i + 1 < parity.len() { ", " } else { "" }
-        ));
-    }
-    s.push_str("],\n");
-    s.push_str(&format!(
-        "  \"memory\": {{\"vehicles\": {}, \"shared_unique_buffers\": {}, \
-         \"shared_unique_bytes\": {}, \"per_vehicle_copy_bytes\": {}, \
-         \"amortization\": {:.2}}},\n",
-        mem.vehicles,
-        mem.shared_unique_buffers,
-        mem.shared_unique_bytes,
-        mem.copied_bytes,
-        mem.amortization,
-    ));
-    s.push_str("  \"campaigns\": [\n");
-    for (i, r) in campaigns.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"cells\": {}, \"frames\": {}}}{}\n",
-            r.workers,
-            r.sink.cells,
-            r.sink.frames,
-            if i + 1 < campaigns.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"full\": {{\"cells\": {}, \"frames\": {}, \"safe_stops\": {}, \"uncaught\": {}}}\n",
-        reference.sink.cells,
-        reference.sink.frames,
-        reference.sink.safe_stops,
-        reference.sink.uncaught,
-    ));
-    s.push_str("}\n");
-    s
+    let memory = obj([
+        ("vehicles", mem.vehicles.into()),
+        ("shared_unique_buffers", mem.shared_unique_buffers.into()),
+        ("shared_unique_bytes", mem.shared_unique_bytes.into()),
+        ("per_vehicle_copy_bytes", mem.copied_bytes.into()),
+        ("amortization", fixed(mem.amortization, 2)),
+    ]);
+    let campaigns = campaigns.iter().map(|r| {
+        let (workers, cells, frames) = (r.workers, r.sink.cells, r.sink.frames);
+        obj([("workers", workers.into()), ("cells", cells.into()), ("frames", frames.into())])
+    });
+    let sink = &reference.sink;
+    let full = obj([
+        ("cells", sink.cells.into()), ("frames", sink.frames.into()),
+        ("safe_stops", sink.safe_stops.into()), ("uncaught", sink.uncaught.into()),
+    ]);
+    json::render(&obj([
+        ("bench", "bench_fleet".into()), ("seed", SEED.into()), ("mode", mode.name().into()),
+        ("parity", parity_json(parity, "byte_identical")), ("memory", memory),
+        ("campaigns", Value::Arr(campaigns.collect())), ("full", full),
+    ]))
 }

@@ -38,9 +38,10 @@
 //! cargo run --release -p adsim-bench --bin bench_recovery [-- --smoke]
 //! ```
 
+use adsim_bench::json::{self, fixed, obj, Value};
+use adsim_bench::{parity_json, Mode};
 use adsim_faults::{FaultConfig, FaultInjector};
 use adsim_fleet::{CellOutcome, CellSpec, FleetAssets, FleetConfig, FleetEngine, RecoveryPolicy};
-use adsim_trace::validate_json;
 use adsim_workload::Resolution;
 
 /// Campaign base seed; per-cell seeds derive from it below.
@@ -94,12 +95,9 @@ fn main() {
         }
     }));
 
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (rates, intervals, n_seeds, frames, mode): (&[f64], &[u64], u64, usize, &str) = if smoke {
-        (&[0.05, 0.5], &[1, 4], 1, 10, "smoke")
-    } else {
-        (&[0.02, 0.08, 0.25], &[1, 4, 12], 2, 32, "full")
-    };
+    let mode = Mode::from_args();
+    let (rates, intervals, n_seeds, frames): (&[f64], &[u64], u64, usize) =
+        mode.pick((&[0.05, 0.5], &[1, 4], 1, 10), (&[0.02, 0.08, 0.25], &[1, 4, 12], 2, 32));
 
     adsim_bench::header(
         "Recovery",
@@ -286,12 +284,13 @@ fn main() {
         }
     }
 
-    let json = to_json(
-        mode, frames, &parity, &reference.outcomes, total_scheduled, digest_matches, &checked,
-        transparent, &parked, &frozen, &points,
+    adsim_bench::write_artifact(
+        "BENCH_recovery.json",
+        &to_json(
+            mode, frames, &parity, &reference.outcomes, total_scheduled, digest_matches, &checked,
+            transparent, &parked, &frozen, &points,
+        ),
     );
-    validate_json(&json).expect("BENCH_recovery.json must be well-formed");
-    adsim_bench::write_artifact("BENCH_recovery.json", &json);
 }
 
 /// Aggregates the per-cell outcomes of the sweep grid into one row per
@@ -337,10 +336,9 @@ fn fold_points(
     points
 }
 
-/// Hand-rolled JSON (offline policy: no serde).
 #[allow(clippy::too_many_arguments)]
 fn to_json(
-    mode: &str,
+    mode: Mode,
     frames: usize,
     parity: &[(usize, bool)],
     outcomes: &[CellOutcome],
@@ -354,57 +352,41 @@ fn to_json(
 ) -> String {
     let crashes: u64 = outcomes.iter().map(|c| c.crashes).sum();
     let restarts: u64 = outcomes.iter().map(|c| c.restarts).sum();
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"bench_recovery\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"frames\": {frames},\n"));
-    let parity_json: Vec<String> = parity
-        .iter()
-        .map(|(w, ok)| format!("{{\"workers\": {w}, \"byte_identical\": {ok}}}"))
-        .collect();
-    s.push_str(&format!("  \"parity\": [{}],\n", parity_json.join(", ")));
-    s.push_str(&format!(
-        "  \"containment\": {{\"cells\": {}, \"scheduled_crashes\": {scheduled}, \
-         \"crashes\": {crashes}, \"restarts\": {restarts}, \"quarantined\": 0, \
-         \"uncaught\": 0, \"digest_matches\": {digest_matches}}},\n",
-        outcomes.len(),
-    ));
-    s.push_str(&format!(
-        "  \"crash_free_transparency\": {{\"checkpoints\": {}, \
-         \"peak_checkpoint_bytes\": {}, \"signature_identical\": {transparent}}},\n",
-        checked.checkpoints, checked.checkpoint_bytes,
-    ));
-    s.push_str(&format!(
-        "  \"exhaustion\": {{\"restart_budget\": 1, \"crashes\": {}, \"restarts\": {}, \
-         \"parked_frames\": {}, \"safe_stops\": {}, \"quarantined\": {}}},\n",
-        parked.crashes, parked.restarts, parked.frames, parked.safe_stops, parked.quarantined,
-    ));
-    s.push_str(&format!(
-        "  \"quarantine\": {{\"crashes\": {}, \"restarts\": {}, \"frames\": {}, \
-         \"quarantined\": {}}},\n",
-        frozen.crashes, frozen.restarts, frozen.frames, frozen.quarantined,
-    ));
-    s.push_str("  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"crash_rate\": {:.3}, \"checkpoint_interval\": {}, \"cells\": {}, \
-             \"crashes\": {}, \"restarts\": {}, \"replayed_frames\": {}, \
-             \"checkpoints\": {}, \"peak_checkpoint_bytes\": {}, \
-             \"mttr_frames\": {:.4}, \"replay_ratio\": {:.4}}}{}\n",
-            p.rate,
-            p.interval,
-            p.cells,
-            p.crashes,
-            p.restarts,
-            p.replayed_frames,
-            p.checkpoints,
-            p.peak_checkpoint_bytes,
-            p.mttr_frames,
-            p.replay_ratio,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let containment = obj([
+        ("cells", outcomes.len().into()), ("scheduled_crashes", scheduled.into()),
+        ("crashes", crashes.into()), ("restarts", restarts.into()),
+        ("quarantined", 0.into()), ("uncaught", 0.into()),
+        ("digest_matches", digest_matches.into()),
+    ]);
+    let transparency = obj([
+        ("checkpoints", checked.checkpoints.into()),
+        ("peak_checkpoint_bytes", checked.checkpoint_bytes.into()),
+        ("signature_identical", transparent.into()),
+    ]);
+    let exhaustion = obj([
+        ("restart_budget", 1.into()), ("crashes", parked.crashes.into()),
+        ("restarts", parked.restarts.into()), ("parked_frames", parked.frames.into()),
+        ("safe_stops", parked.safe_stops.into()), ("quarantined", parked.quarantined.into()),
+    ]);
+    let quarantine = obj([
+        ("crashes", frozen.crashes.into()), ("restarts", frozen.restarts.into()),
+        ("frames", frozen.frames.into()), ("quarantined", frozen.quarantined.into()),
+    ]);
+    let sweep = points.iter().map(|p| {
+        obj([
+            ("crash_rate", fixed(p.rate, 3)), ("checkpoint_interval", p.interval.into()),
+            ("cells", p.cells.into()), ("crashes", p.crashes.into()),
+            ("restarts", p.restarts.into()), ("replayed_frames", p.replayed_frames.into()),
+            ("checkpoints", p.checkpoints.into()),
+            ("peak_checkpoint_bytes", p.peak_checkpoint_bytes.into()),
+            ("mttr_frames", fixed(p.mttr_frames, 4)), ("replay_ratio", fixed(p.replay_ratio, 4)),
+        ])
+    });
+    json::render(&obj([
+        ("bench", "bench_recovery".into()), ("seed", SEED.into()), ("mode", mode.name().into()),
+        ("frames", frames.into()), ("parity", parity_json(parity, "byte_identical")),
+        ("containment", containment), ("crash_free_transparency", transparency),
+        ("exhaustion", exhaustion), ("quarantine", quarantine),
+        ("sweep", Value::Arr(sweep.collect())),
+    ]))
 }

@@ -29,13 +29,14 @@
 //! guard never perturbs outputs.
 //!
 //! ```text
-//! cargo run --release -p adsim-bench --bin bench_soak [-- --smoke | -- --quick]
+//! cargo run --release -p adsim-bench --bin bench_soak [-- --smoke]
 //! ```
 //!
 //! `--smoke` is the tier-1 wiring check: two seeds, three mixes, a
-//! dozen frames per run. `--quick` keeps the full mix grid but trims
-//! seeds and frames.
+//! dozen frames per run.
 
+use adsim_bench::json::{self, fixed, obj, Value};
+use adsim_bench::Mode;
 use adsim_core::GuardConfig;
 use adsim_faults::FaultConfig;
 use adsim_fleet::{run_cell, CellOutcome, CellSpec, FleetAssets, FleetConfig, FleetEngine};
@@ -146,15 +147,8 @@ fn report_cell(c: &Cell) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (n_seeds, frames, mode) = if smoke {
-        (2u64, 12usize, "smoke")
-    } else if quick {
-        (2, 20, "quick")
-    } else {
-        (4, 60, "full")
-    };
+    let mode = Mode::from_args();
+    let (n_seeds, frames) = mode.pick((2u64, 12usize), (4, 60));
 
     adsim_bench::header(
         "Soak",
@@ -162,7 +156,7 @@ fn main() {
     );
     let assets = FleetAssets::urban(Resolution::Hhd);
     let all_mixes = mixes();
-    let grid: Vec<&Mix> = if smoke {
+    let grid: Vec<&Mix> = if mode == Mode::Smoke {
         all_mixes.iter().filter(|m| matches!(m.name, "clean" | "data" | "everything")).collect()
     } else {
         all_mixes.iter().collect()
@@ -276,41 +270,25 @@ fn main() {
     adsim_bench::write_artifact("BENCH_soak.json", &to_json(mode, deterministic, &cells));
 }
 
-/// Hand-rolled JSON (offline policy: no serde). All values are numbers,
-/// booleans or plain ASCII identifiers, so no escaping is required.
-fn to_json(mode: &str, deterministic: bool, cells: &[Cell]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"bench_soak\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    s.push_str(&format!("  \"ttr_bound_frames\": {TTR_BOUND_FRAMES},\n"));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"guard\": \"{}\", \"seed\": {}, \"frames\": {}, \
-             \"injected_data_faults\": {}, \"detected_data_faults\": {}, \"coverage\": {:.4}, \
-             \"dual_recovered\": {}, \"monitor_trips\": {}, \"uncaught\": {}, \"episodes\": {}, \
-             \"mean_ttr_frames\": {:.4}, \"max_ttr_frames\": {}, \"degraded_rate\": {:.6}, \
-             \"safe_stops\": {}}}{}\n",
-            c.mix,
-            c.guard,
-            c.out.seed,
-            c.out.frames,
-            c.out.injected_data_faults,
-            c.out.detected_data_faults,
-            c.out.coverage(),
-            c.out.dual_recovered,
-            c.out.monitor_trips,
-            c.out.uncaught,
-            c.out.episodes,
-            c.out.mean_ttr_frames,
-            c.out.max_ttr_frames,
-            c.out.degraded_rate,
-            c.out.safe_stops,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn to_json(mode: Mode, deterministic: bool, cells: &[Cell]) -> String {
+    let cells = cells.iter().map(|c| {
+        let o = &c.out;
+        obj([
+            ("mix", c.mix.into()), ("guard", c.guard.into()), ("seed", o.seed.into()),
+            ("frames", o.frames.into()),
+            ("injected_data_faults", o.injected_data_faults.into()),
+            ("detected_data_faults", o.detected_data_faults.into()),
+            ("coverage", fixed(o.coverage(), 4)), ("dual_recovered", o.dual_recovered.into()),
+            ("monitor_trips", o.monitor_trips.into()), ("uncaught", o.uncaught.into()),
+            ("episodes", o.episodes.into()), ("mean_ttr_frames", fixed(o.mean_ttr_frames, 4)),
+            ("max_ttr_frames", o.max_ttr_frames.into()),
+            ("degraded_rate", fixed(o.degraded_rate, 6)), ("safe_stops", o.safe_stops.into()),
+        ])
+    });
+    json::render(&obj([
+        ("bench", "bench_soak".into()), ("seed", SEED.into()), ("mode", mode.name().into()),
+        ("deterministic", deterministic.into()),
+        ("ttr_bound_frames", TTR_BOUND_FRAMES.into()),
+        ("cells", Value::Arr(cells.collect())),
+    ]))
 }

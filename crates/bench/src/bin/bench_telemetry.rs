@@ -21,7 +21,7 @@
 //! recording never perturbs outputs.
 //!
 //! Artifacts, both in `target/bench/`: `BENCH_telemetry.json`
-//! (validated by the workspace JSON checker) and `PROM_telemetry.txt`
+//! (rendered by the workspace JSON writer) and `PROM_telemetry.txt`
 //! (the fleet Prometheus snapshot, validated by the hand-rolled
 //! exposition validator).
 //!
@@ -29,13 +29,14 @@
 //! cargo run --release -p adsim-bench --bin bench_telemetry [-- --smoke]
 //! ```
 
+use adsim_bench::json::{self, obj, Value};
+use adsim_bench::{parity_json, Mode};
 use adsim_faults::{FaultConfig, FaultInjector};
 use adsim_fleet::{CellOutcome, CellSpec, FleetAssets, FleetConfig, FleetEngine};
 use adsim_telemetry::{
     prometheus_text, validate_prometheus, DumpTrigger, MetricsRegistry, TelemetrySession,
     FAULT_DATA_MASK,
 };
-use adsim_trace::validate_json;
 use adsim_workload::Resolution;
 
 /// Campaign base seed (the soak harness's, so the grids line up).
@@ -128,8 +129,8 @@ fn check_causality(specs: &[CellSpec], outcomes: &[CellOutcome]) -> Causality {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (n_seeds, frames, mode) = if smoke { (2u64, 12usize, "smoke") } else { (4, 60, "full") };
+    let mode = Mode::from_args();
+    let (n_seeds, frames) = mode.pick((2u64, 12usize), (4, 60));
 
     adsim_bench::header(
         "Telemetry",
@@ -189,7 +190,7 @@ fn main() {
         causality.safe_stop_dumps, causality.checked, causality.violations
     );
     assert_eq!(causality.violations, 0, "every SafeStop dump must contain its corrupted frame");
-    if !smoke {
+    if mode == Mode::Full {
         assert!(causality.checked > 0, "full grid must exercise data-fault SafeStop dumps");
     }
 
@@ -199,24 +200,24 @@ fn main() {
     // (it equals the 1-worker reference byte for byte).
     adsim_bench::write_artifact("PROM_telemetry.txt", &rerun_prom);
 
-    let json = to_json(
-        mode,
-        &parity,
-        rerun_identical,
-        &rerun.telemetry,
-        &causality,
-        total_dumps,
-        &grid,
-        &last_outcomes,
+    adsim_bench::write_artifact(
+        "BENCH_telemetry.json",
+        &to_json(
+            mode,
+            &parity,
+            rerun_identical,
+            &rerun.telemetry,
+            &causality,
+            total_dumps,
+            &grid,
+            &last_outcomes,
+        ),
     );
-    validate_json(&json).expect("BENCH_telemetry.json must be well-formed");
-    adsim_bench::write_artifact("BENCH_telemetry.json", &json);
 }
 
-/// Hand-rolled JSON (offline policy: no serde).
 #[allow(clippy::too_many_arguments)]
 fn to_json(
-    mode: &str,
+    mode: Mode,
     parity: &[(usize, bool)],
     rerun_identical: bool,
     registry: &MetricsRegistry,
@@ -225,35 +226,21 @@ fn to_json(
     grid: &Grid,
     outcomes: &[CellOutcome],
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"bench_telemetry\",\n");
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    let parity_json: Vec<String> = parity
-        .iter()
-        .map(|(w, ok)| format!("{{\"workers\": {w}, \"prometheus_byte_identical\": {ok}}}"))
-        .collect();
-    s.push_str(&format!("  \"parity\": [{}],\n", parity_json.join(", ")));
-    s.push_str(&format!("  \"rerun_byte_identical\": {rerun_identical},\n"));
-    s.push_str(&format!("  \"series\": {},\n", registry.len()));
-    s.push_str(&format!(
-        "  \"dump_causality\": {{\"dumps\": {total_dumps}, \"safe_stop_dumps\": {}, \
-         \"checked\": {}, \"violations\": {}}},\n",
-        causality.safe_stop_dumps, causality.checked, causality.violations
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, (outcome, mix)) in outcomes.iter().zip(&grid.mixes).enumerate() {
-        s.push_str(&format!(
-            "    {{\"mix\": \"{mix}\", \"seed\": {}, \"frames\": {}, \"safe_stops\": {}, \
-             \"monitor_trips\": {}, \"dumps\": {}}}{}\n",
-            outcome.seed,
-            outcome.frames,
-            outcome.safe_stops,
-            outcome.monitor_trips,
-            outcome.dumps.len(),
-            if i + 1 < outcomes.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let causality = obj([
+        ("dumps", total_dumps.into()), ("safe_stop_dumps", causality.safe_stop_dumps.into()),
+        ("checked", causality.checked.into()), ("violations", causality.violations.into()),
+    ]);
+    let cells = outcomes.iter().zip(&grid.mixes).map(|(o, &mix)| {
+        obj([
+            ("mix", mix.into()), ("seed", o.seed.into()), ("frames", o.frames.into()),
+            ("safe_stops", o.safe_stops.into()), ("monitor_trips", o.monitor_trips.into()),
+            ("dumps", o.dumps.len().into()),
+        ])
+    });
+    json::render(&obj([
+        ("bench", "bench_telemetry".into()), ("seed", SEED.into()), ("mode", mode.name().into()),
+        ("parity", parity_json(parity, "prometheus_byte_identical")),
+        ("rerun_byte_identical", rerun_identical.into()), ("series", registry.len().into()),
+        ("dump_causality", causality), ("cells", Value::Arr(cells.collect())),
+    ]))
 }

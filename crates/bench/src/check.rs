@@ -3,9 +3,11 @@
 //! Every field a bench binary writes is a pure function of seeds, grid
 //! sizes and virtual-clock state — wall-clock timing lives in perfbench
 //! (`benchmark/`) — so a fresh artifact must reproduce its committed
-//! baseline exactly, leaf for leaf. The one fence is `"mode"`: a smoke
-//! run covers a smaller grid than the committed full-mode baseline, so
-//! artifacts of different modes are never diffed.
+//! baseline exactly, leaf for leaf. Each mode has its own baseline: a
+//! smoke run covers a smaller grid than a full one, so a fresh artifact
+//! is paired with the committed artifact of the same `bench` id and
+//! `"mode"` ([`same_run`]), and artifacts of different modes are never
+//! diffed.
 
 use crate::json::Value;
 
@@ -49,11 +51,11 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Vec<Diff> {
     diffs
 }
 
-/// The `bench_check --all` pairing rule for a committed artifact and a
-/// fresh one of the same name: `None` when their `"mode"` fields differ
-/// (both were parsed, nothing is compared), otherwise the exact diff.
-pub fn check_pair(committed: &Value, fresh: &Value) -> Option<Vec<Diff>> {
-    (committed.get("mode") == fresh.get("mode")).then(|| compare(committed, fresh))
+/// The `bench_check --all` pairing rule: a committed artifact is the
+/// baseline of a fresh one when both carry the same `bench` id and
+/// `"mode"`, whatever their file names.
+pub fn same_run(committed: &Value, fresh: &Value) -> bool {
+    committed.get("bench") == fresh.get("bench") && committed.get("mode") == fresh.get("mode")
 }
 
 /// Checks one parsed artifact's schema: the `bench` id plus the
@@ -131,15 +133,17 @@ fn walk(base: &Value, fresh: &Value, path: &str, diffs: &mut Vec<Diff>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, Value};
+    use crate::json::{parse, render, Value};
 
-    /// `base` with every number `f64::next_up`-ed by one ulp at `key`.
+    /// `base` with every number at `key` moved by the smallest step of
+    /// its kind: one ulp for a float, one for an integer.
     fn bump(base: &Value, key: &str) -> Value {
         match base {
             Value::Obj(m) => Value::Obj(
                 m.iter()
                     .map(|(k, v)| match v {
                         Value::Num(x) if k == key => (k.clone(), Value::Num(x.next_up())),
+                        Value::Int(i) if k == key => (k.clone(), Value::Int(i + 1)),
                         _ => (k.clone(), bump(v, key)),
                     })
                     .collect(),
@@ -168,6 +172,15 @@ mod tests {
             assert_eq!(diffs.len(), 1, "{key}: {diffs:?}");
             assert_eq!(diffs[0].path, key);
         }
+    }
+
+    #[test]
+    fn a_one_off_twenty_digit_seed_is_one_diff() {
+        let b = parse(r#"{"cells": [{"seed": 11400714819238673611, "safe_stops": 3}]}"#).unwrap();
+        let f = parse(r#"{"cells": [{"seed": 11400714819238673612, "safe_stops": 3}]}"#).unwrap();
+        let diffs = compare(&b, &f);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert_eq!(diffs[0].path, "cells[0].seed");
     }
 
     #[test]
@@ -206,17 +219,46 @@ mod tests {
     fn same_mode_pair_that_differs_fails() {
         let committed = parse(r#"{"bench": "b", "mode": "smoke", "safe_stops": 3}"#).unwrap();
         let fresh = parse(r#"{"bench": "b", "mode": "smoke", "safe_stops": 4}"#).unwrap();
-        let diffs = check_pair(&committed, &fresh).expect("same mode is compared");
+        assert!(same_run(&committed, &fresh));
+        let diffs = compare(&committed, &fresh);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].path, "safe_stops");
-        assert_eq!(check_pair(&committed, &committed), Some(Vec::new()));
+        assert!(compare(&committed, &committed).is_empty());
     }
 
     #[test]
-    fn cross_mode_pair_is_only_parsed() {
-        let committed = parse(r#"{"bench": "b", "mode": "full", "cells": [1, 2, 3]}"#).unwrap();
-        let fresh = parse(r#"{"bench": "b", "mode": "smoke", "cells": [1]}"#).unwrap();
-        assert_eq!(check_pair(&committed, &fresh), None);
+    fn pairs_only_the_same_bench_and_mode() {
+        let full = parse(r#"{"bench": "b", "mode": "full", "cells": [1, 2, 3]}"#).unwrap();
+        let smoke = parse(r#"{"bench": "b", "mode": "smoke", "cells": [1]}"#).unwrap();
+        let other = parse(r#"{"bench": "c", "mode": "smoke", "cells": [1]}"#).unwrap();
+        assert!(same_run(&smoke, &smoke));
+        assert!(!same_run(&full, &smoke));
+        assert!(!same_run(&other, &smoke));
+    }
+
+    #[test]
+    fn committed_artifacts_are_in_the_one_writer_form() {
+        // A hand-edited or foreign-format baseline fails here.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut checked = Vec::new();
+        for entry in std::fs::read_dir(root).expect("repo root is readable") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("artifact is readable");
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(render(&doc) == text, "{name} is not in the writer's form");
+            validate(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+            checked.push(name);
+        }
+        checked.sort();
+        for bench in ["anytime", "batch", "faults", "fleet", "recovery", "soak", "telemetry"] {
+            for name in [format!("BENCH_{bench}.json"), format!("BENCH_{bench}.smoke.json")] {
+                assert!(checked.contains(&name), "{name} is not committed: {checked:?}");
+            }
+        }
     }
 
     #[test]

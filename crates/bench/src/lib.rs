@@ -22,6 +22,45 @@ pub use adsim_trace::json;
 /// repo root; `bench_check --all` compares the two.
 pub const ARTIFACT_DIR: &str = "target/bench";
 
+/// Which grid a `bench_*` binary runs: `--smoke` selects the small
+/// grid tier-1 runs, no argument the full one. Artifacts record it as
+/// their `"mode"`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    Smoke,
+    Full,
+}
+
+impl Mode {
+    /// The mode the process arguments name; any other argument list
+    /// exits with code 2.
+    pub fn from_args() -> Mode {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match args.as_slice() {
+            [] => Mode::Full,
+            [flag] if flag == "--smoke" => Mode::Smoke,
+            _ => {
+                eprintln!("unexpected arguments {args:?}; usage: [--smoke]");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// The artifact's `"mode"` value.
+    pub fn name(self) -> &'static str {
+        self.pick("smoke", "full")
+    }
+
+    /// `smoke` in smoke mode, `full` otherwise.
+    pub fn pick<T>(self, smoke: T, full: T) -> T {
+        if self == Mode::Smoke {
+            smoke
+        } else {
+            full
+        }
+    }
+}
+
 /// Writes one artifact into [`ARTIFACT_DIR`] and reports where.
 pub fn write_artifact(name: &str, contents: &str) {
     let path = std::path::Path::new(ARTIFACT_DIR).join(name);
@@ -30,6 +69,13 @@ pub fn write_artifact(name: &str, contents: &str) {
     std::fs::write(&path, contents)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     println!("\nwrote {}", path.display());
+}
+
+/// A worker-count parity table as JSON: one
+/// `{"workers": w, <key>: ok}` object per entry.
+pub fn parity_json(parity: &[(usize, bool)], key: &str) -> json::Value {
+    let row = |&(w, ok): &(usize, bool)| json::obj([("workers", w.into()), (key, ok.into())]);
+    json::Value::Arr(parity.iter().map(row).collect())
 }
 
 /// Prints a section header.
@@ -80,6 +126,13 @@ mod tests {
     fn fmt_ms_switches_units() {
         assert_eq!(fmt_ms(12.34), "12.3 ms");
         assert_eq!(fmt_ms(9_100.0), "9.10 s");
+    }
+
+    #[test]
+    fn mode_picks_its_grid_and_names_it() {
+        assert_eq!(Mode::Smoke.pick(1, 2), 1);
+        assert_eq!(Mode::Full.pick(1, 2), 2);
+        assert_eq!((Mode::Smoke.name(), Mode::Full.name()), ("smoke", "full"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! function of the cell spec and compares byte-identically across
 //! worker counts, like every other fleet output.
 
-use adsim_trace::json::push_escaped;
+use adsim_trace::json::{self, obj, Value};
 
 /// Per-frame fault bits ([`FrameRecord::fault_bits`]).
 pub const FAULT_BLACKOUT: u16 = 1 << 0;
@@ -144,42 +144,26 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
-    /// Hand-rolled JSON rendering (offline policy: no serde). Digests
-    /// render as hex strings so 64-bit values never hit number
-    /// precision limits in downstream tooling.
+    /// The dump as JSON. Digests render as hex strings so 64-bit
+    /// values never hit number precision limits in downstream tooling.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"vehicle\": {}, \"trigger\": \"{}\", \"frame\": {}, \"records\": [",
-            self.vehicle,
-            self.trigger.name(),
-            self.frame
-        ));
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let [det, tra, loc, fus, mot] = r.stage_virtual_ms;
-            s.push_str(&format!(
-                "{{\"frame\": {}, \"stages_ms\": [{det}, {tra}, {loc}, {fus}, {mot}], \
-                 \"e2e_ms\": {}, \"rung\": \"{}\", \"modes\": {}, \"monitors\": {}, \
-                 \"faults\": {}, \"digest\": \"{:#x}\", \"forecast_ms\": {}, \
-                 \"crashed\": {}, \"panic_msg\": \"",
-                r.frame,
-                r.virtual_e2e_ms,
-                r.quality_rung,
-                r.mode_bits,
-                r.monitor_bits,
-                r.fault_bits,
-                r.payload_digest,
-                r.forecast_e2e_ms,
-                r.crashed,
-            ));
-            push_escaped(&mut s, &r.panic_msg);
-            s.push_str("\"}");
-        }
-        s.push_str("]}");
-        s
+        let records = self.records.iter().map(|r| {
+            let stages_ms = r.stage_virtual_ms.iter().map(|&ms| ms.into()).collect();
+            obj([
+                ("frame", r.frame.into()), ("stages_ms", Value::Arr(stages_ms)),
+                ("e2e_ms", r.virtual_e2e_ms.into()), ("rung", r.quality_rung.into()),
+                ("modes", r.mode_bits.into()), ("monitors", r.monitor_bits.into()),
+                ("faults", r.fault_bits.into()),
+                ("digest", format!("{:#x}", r.payload_digest).into()),
+                ("forecast_ms", r.forecast_e2e_ms.into()), ("crashed", r.crashed.into()),
+                ("panic_msg", r.panic_msg.as_str().into()),
+            ])
+        });
+        json::render(&obj([
+            ("vehicle", self.vehicle.into()), ("trigger", self.trigger.name().into()),
+            ("frame", self.frame.into()),
+            ("records", Value::Arr(records.collect())),
+        ]))
     }
 }
 

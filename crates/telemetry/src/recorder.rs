@@ -187,23 +187,6 @@ impl TelemetrySession {
         Self { _guard: guard }
     }
 
-    /// Temporarily stops recording (record calls become no-ops) without
-    /// ending the session — the telemetry-on-vs-off overhead probe
-    /// toggles this frame by frame.
-    pub fn pause(&self) {
-        ENABLED.store(false, Ordering::Release);
-    }
-
-    /// Resumes recording after [`TelemetrySession::pause`].
-    pub fn resume(&self) {
-        ENABLED.store(true, Ordering::Release);
-    }
-
-    /// True while this session is actively recording.
-    pub fn recording(&self) -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
     /// Ends the session and returns the merged, canonically sorted
     /// registry: own-thread shard plus everything flushed to the sink.
     pub fn finish(self) -> MetricsRegistry {
@@ -213,6 +196,15 @@ impl TelemetrySession {
             std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()));
         reg.sort();
         reg
+    }
+}
+
+impl Drop for TelemetrySession {
+    /// Disables recording, so a session dropped without
+    /// [`TelemetrySession::finish`] leaves telemetry off; its data is
+    /// discarded by the next `begin`.
+    fn drop(&mut self) {
+        ENABLED.store(false, Ordering::Release);
     }
 }
 
@@ -267,16 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn pause_and_resume_gate_the_fast_path() {
-        let session = TelemetrySession::begin();
-        counter_add("probe", "", 1);
-        session.pause();
-        assert!(!session.recording());
-        counter_add("probe", "", 100);
-        session.resume();
-        counter_add("probe", "", 2);
-        let reg = session.finish();
-        assert_eq!(reg.counter("probe", NO_VEHICLE, ""), 3);
+    fn dropping_a_session_disables_telemetry() {
+        {
+            let _session = TelemetrySession::begin();
+            assert!(enabled());
+        }
+        // Hold the session lock so no concurrent test can turn
+        // recording back on before the check.
+        let _lock = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(!enabled());
+        counter_add("after_drop", "", 1);
+        assert_eq!(drain_thread().counter("after_drop", NO_VEHICLE, ""), 0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! worker counts and steal orders (the same contract `CellOutcome`
 //! upholds). Wall-clock measurements belong in bench JSON, never here.
 
+use adsim_trace::json::{self, obj, Value};
 use adsim_trace::LogHistogram;
 
 /// Sentinel vehicle id meaning "no vehicle label": series recorded
@@ -225,53 +226,42 @@ impl MetricsRegistry {
         self.series.iter()
     }
 
-    /// JSON snapshot of every series in canonical order. Hand-rolled
-    /// (offline policy: no serde); validated against
-    /// `adsim_trace::validate_json` in tests.
+    /// JSON snapshot of every series in canonical order, rendered by
+    /// the workspace writer ([`adsim_trace::json`]).
     pub fn snapshot_json(&self) -> String {
-        let mut s = String::from("{\n  \"series\": [\n");
-        let sorted = self.sorted();
-        for (i, (key, value)) in sorted.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"metric\": \"{}\"", key.metric));
+        let series = self.sorted().into_iter().map(|(key, value)| {
+            let mut m: Vec<(&str, Value)> = vec![("metric", key.metric.into())];
             if key.vehicle != NO_VEHICLE {
-                s.push_str(&format!(", \"vehicle\": {}", key.vehicle));
+                m.push(("vehicle", key.vehicle.into()));
             }
             if !key.stage.is_empty() {
-                s.push_str(&format!(", \"stage\": \"{}\"", key.stage));
+                m.push(("stage", key.stage.into()));
             }
             match value {
                 SeriesValue::Counter(c) => {
-                    s.push_str(&format!(", \"type\": \"counter\", \"value\": {c}"))
+                    m.extend([("type", "counter".into()), ("value", (*c).into())])
                 }
-                SeriesValue::Gauge { frame, value } => s.push_str(&format!(
-                    ", \"type\": \"gauge\", \"frame\": {frame}, \"value\": {value}"
-                )),
+                SeriesValue::Gauge { frame, value } => m.extend([
+                    ("type", "gauge".into()),
+                    ("frame", (*frame).into()),
+                    ("value", (*value).into()),
+                ]),
                 SeriesValue::Histogram(h) => {
-                    s.push_str(&format!(
-                        ", \"type\": \"histogram\", \"count\": {}, \"sum\": {}",
-                        h.count(),
-                        h.sum()
-                    ));
+                    m.extend([
+                        ("type", "histogram".into()), ("count", h.count().into()),
+                        ("sum", h.sum().into()),
+                    ]);
                     if !h.is_empty() {
-                        s.push_str(&format!(
-                            ", \"min\": {}, \"max\": {}, \"p50\": {}, \"p99\": {}",
-                            h.min(),
-                            h.max(),
-                            h.quantile(0.50),
-                            h.quantile(0.99)
-                        ));
+                        m.extend([
+                            ("min", h.min().into()), ("max", h.max().into()),
+                            ("p50", h.quantile(0.50).into()), ("p99", h.quantile(0.99).into()),
+                        ]);
                     }
                 }
             }
-            s.push('}');
-            if i + 1 < sorted.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
+            obj(m)
+        });
+        json::render(&obj([("series", Value::Arr(series.collect()))]))
     }
 }
 

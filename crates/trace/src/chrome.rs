@@ -1,8 +1,8 @@
 //! Chrome trace-event JSON exporter and the JSON well-formedness check
-//! its round-trip tests use (the workspace has no serde; both are
-//! hand-rolled).
+//! its round-trip tests use (the workspace has no serde; both go
+//! through [`crate::json`]).
 
-use crate::json::{self, push_escaped};
+use crate::json::{self, fixed, obj, Value};
 use crate::recorder::{Event, EventKind, NO_INDEX};
 
 fn category(name: &str) -> &'static str {
@@ -21,48 +21,36 @@ fn category(name: &str) -> &'static str {
 /// Format: `{"traceEvents": [...]}`), loadable in Perfetto or
 /// `chrome://tracing`.
 ///
-/// Spans map to complete events (`"ph":"X"`) with microsecond `ts`/
-/// `dur`, instants to `"ph":"i"` with global scope, counters to
-/// `"ph":"C"`. Thread ids come from the recorder; all events share
-/// `"pid":1`. Indexed span names render as `name#index` so e.g. DNN
+/// Spans map to complete events (`"ph": "X"`) with microsecond `ts`/
+/// `dur`, instants to `"ph": "i"` with global scope, counters to
+/// `"ph": "C"`. Thread ids come from the recorder; all events share
+/// `"pid": 1`. Indexed span names render as `name#index` so e.g. DNN
 /// layers and ORB pyramid levels stay distinguishable on the timeline.
 pub fn chrome_trace_json(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 32);
-    out.push_str("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        push_escaped(&mut out, e.name);
-        if e.index != NO_INDEX {
-            out.push_str(&format!("#{}", e.index));
-        }
-        out.push_str("\",\"cat\":\"");
-        out.push_str(category(e.name));
-        out.push_str("\",\"pid\":1,\"tid\":");
-        out.push_str(&e.tid.to_string());
-        out.push_str(&format!(",\"ts\":{:.3}", e.ts_ns as f64 / 1e3));
+    let events = events.iter().map(|e| {
+        let name = match e.index {
+            NO_INDEX => e.name.to_string(),
+            index => format!("{}#{index}", e.name),
+        };
+        let mut members = vec![
+            ("name", name.into()), ("cat", category(e.name).into()), ("pid", 1.into()),
+            ("tid", e.tid.into()), ("ts", fixed(e.ts_ns as f64 / 1e3, 3)),
+        ];
         match e.kind {
             EventKind::Span { dur_ns, flops, bytes } => {
-                out.push_str(&format!(",\"ph\":\"X\",\"dur\":{:.3}", dur_ns as f64 / 1e3));
+                members.extend([("ph", "X".into()), ("dur", fixed(dur_ns as f64 / 1e3, 3))]);
                 if flops > 0 || bytes > 0 {
-                    out.push_str(&format!(
-                        ",\"args\":{{\"flops\":{flops},\"bytes\":{bytes}}}"
-                    ));
+                    members.push(("args", obj([("flops", flops.into()), ("bytes", bytes.into())])));
                 }
             }
-            EventKind::Instant => {
-                out.push_str(",\"ph\":\"i\",\"s\":\"g\"");
-            }
+            EventKind::Instant => members.extend([("ph", "i".into()), ("s", "g".into())]),
             EventKind::Counter { value } => {
-                out.push_str(&format!(",\"ph\":\"C\",\"args\":{{\"value\":{value}}}"));
+                members.extend([("ph", "C".into()), ("args", obj([("value", value.into())]))])
             }
         }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+        obj(members)
+    });
+    json::render(&obj([("traceEvents", Value::Arr(events.collect()))]))
 }
 
 /// Checks that `s` is one well-formed JSON value with no trailing
@@ -79,25 +67,43 @@ mod tests {
         Event { name, index, tid: 2, ts_ns: 1_234_567, kind }
     }
 
+    /// The exported events, parsed back.
+    fn exported(events: &[Event]) -> Vec<Value> {
+        let doc = json::parse(&chrome_trace_json(events)).expect("export is valid JSON");
+        let Some(Value::Arr(events)) = doc.get("traceEvents") else {
+            panic!("no traceEvents array in {doc:?}")
+        };
+        events.clone()
+    }
+
+    fn field<'a>(e: &'a Value, key: &str) -> &'a Value {
+        e.get(key).unwrap_or_else(|| panic!("no {key} in {e:?}"))
+    }
+
     #[test]
     fn exports_spans_instants_and_counters() {
-        let events = vec![
+        let events = exported(&[
             ev("stage.det", NO_INDEX, EventKind::Span { dur_ns: 5_000_000, flops: 0, bytes: 0 }),
             ev("dnn.conv2d", 3, EventKind::Span { dur_ns: 1_000, flops: 640, bytes: 128 }),
             ev("degrade.retry", NO_INDEX, EventKind::Instant),
             ev("util", NO_INDEX, EventKind::Counter { value: 0.75 }),
-        ];
-        let json = chrome_trace_json(&events);
-        validate_json(&json).unwrap();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"stage.det\""));
-        assert!(json.contains("\"name\":\"dnn.conv2d#3\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":5000.000"));
-        assert!(json.contains("\"flops\":640"));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"cat\":\"compute\""));
+        ]);
+        let [det, conv, retry, util] = &events[..] else { panic!("four events: {events:?}") };
+        assert_eq!(field(det, "name").as_str(), Some("stage.det"));
+        assert_eq!(field(det, "ph").as_str(), Some("X"));
+        assert_eq!(field(det, "dur").as_num(), Some(5000.0));
+        assert_eq!(field(det, "ts").as_num(), Some(1234.567));
+        assert_eq!(field(det, "pid").as_num(), Some(1.0));
+        assert_eq!(field(det, "tid").as_num(), Some(2.0));
+        assert!(det.get("args").is_none(), "unreported flops/bytes carry no args");
+        assert_eq!(field(conv, "name").as_str(), Some("dnn.conv2d#3"));
+        assert_eq!(field(conv, "cat").as_str(), Some("compute"));
+        assert_eq!(field(field(conv, "args"), "flops").as_num(), Some(640.0));
+        assert_eq!(field(field(conv, "args"), "bytes").as_num(), Some(128.0));
+        assert_eq!(field(retry, "ph").as_str(), Some("i"));
+        assert_eq!(field(retry, "s").as_str(), Some("g"));
+        assert_eq!(field(util, "ph").as_str(), Some("C"));
+        assert_eq!(field(field(util, "args"), "value").as_num(), Some(0.75));
     }
 
     #[test]
@@ -105,22 +111,22 @@ mod tests {
         // Perfetto groups counter tracks by category: the quality-rung
         // and virtual-deadline-miss counters must land beside the
         // degradation instants, not in the catch-all bucket.
-        let events = vec![
+        let events = exported(&[
             ev("anytime.quality-level", NO_INDEX, EventKind::Counter { value: 2.0 }),
             ev("supervisor.virtual-miss", NO_INDEX, EventKind::Counter { value: 5.0 }),
             ev("guard.data", 7, EventKind::Instant),
-        ];
-        let json = chrome_trace_json(&events);
-        validate_json(&json).unwrap();
-        assert_eq!(json.matches("\"cat\":\"supervisor\"").count(), 3, "{json}");
-        assert!(json.contains("\"name\":\"anytime.quality-level\",\"cat\":\"supervisor\""));
+        ]);
+        for e in &events {
+            assert_eq!(field(e, "cat").as_str(), Some("supervisor"), "{e:?}");
+        }
+        assert_eq!(field(&events[0], "name").as_str(), Some("anytime.quality-level"));
     }
 
     #[test]
     fn empty_trace_is_valid_json() {
         let json = chrome_trace_json(&[]);
-        assert_eq!(json, "{\"traceEvents\":[]}");
         validate_json(&json).unwrap();
+        assert!(exported(&[]).is_empty());
     }
 
     #[test]
@@ -167,10 +173,9 @@ mod tests {
 
     #[test]
     fn escapes_strings() {
-        let events =
-            vec![ev("weird\"name\\x", NO_INDEX, EventKind::Instant)];
-        let json = chrome_trace_json(&events);
-        validate_json(&json).unwrap();
-        assert!(json.contains("weird\\\"name\\\\x"));
+        let json = chrome_trace_json(&[ev("weird\"name\\x", NO_INDEX, EventKind::Instant)]);
+        assert!(json.contains(r#""weird\"name\\x""#), "{json}");
+        let events = exported(&[ev("weird\"name\\x", NO_INDEX, EventKind::Instant)]);
+        assert_eq!(field(&events[0], "name").as_str(), Some("weird\"name\\x"));
     }
 }

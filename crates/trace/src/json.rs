@@ -1,41 +1,43 @@
-//! The workspace's JSON string escaper and JSON reader (offline policy:
-//! no serde). [`push_escaped`] escapes the free-form strings of the
-//! Chrome exporter and the flight-recorder dump. [`parse`] builds a
-//! document tree: `bench_check` compares a fresh `BENCH_*.json` against
-//! its committed baseline with it, and
+//! The workspace's one JSON writer and reader (offline policy: no
+//! serde). Every emitter — the `bench_*` artifacts, flight-recorder
+//! dumps, telemetry snapshots and the Chrome trace export — builds a
+//! [`Value`] tree and renders it with [`render`], so the format
+//! (layout, escaping, number text) is decided here and nowhere else.
+//! [`parse`] reads documents back: `bench_check` compares a fresh
+//! `BENCH_*.json` against its committed baseline with it, and
 //! [`validate_json`](crate::validate_json) is it with the tree dropped.
-//! Object key order is preserved — the bench writers emit keys in a
-//! fixed order and the comparator reports mismatches in that order.
+//! Object key order is preserved in both directions.
 
-/// Appends `s` to `out` as the body of a JSON string literal: quotes,
-/// backslashes and control characters escaped, everything else as is.
-pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// One parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+/// One JSON value.
+///
+/// Numbers keep their kind: an integer literal parses to an exact
+/// [`Value::Int`] over the whole `u64` and `i64` ranges, anything with
+/// a fraction or exponent to a [`Value::Num`]. Numbers compare by
+/// value — two integers exactly, any other pair as `f64` — so `1` and
+/// `1.0` are equal.
+#[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Bool(bool),
-    /// All JSON numbers as f64 — bench files stay well inside the
-    /// 2^53 integer range except seeds, which the comparator treats as
-    /// opaque equality anyway (two f64 conversions of the same literal
-    /// are bitwise equal).
+    Int(i128),
     Num(f64),
     Str(String),
     Arr(Vec<Value>),
     Obj(Vec<(String, Value)>),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => matches!((self.as_num(), other.as_num()), (Some(a), Some(b)) if a == b),
+        }
+    }
 }
 
 impl Value {
@@ -47,9 +49,11 @@ impl Value {
         }
     }
 
-    /// The number payload, if this is a number.
+    /// The number payload as an `f64`, if this is a number of either
+    /// kind.
     pub fn as_num(&self) -> Option<f64> {
         match self {
+            Value::Int(i) => Some(*i as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -68,12 +72,109 @@ impl Value {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
-            Value::Num(_) => "number",
+            Value::Int(_) | Value::Num(_) => "number",
             Value::Str(_) => "string",
             Value::Arr(_) => "array",
             Value::Obj(_) => "object",
         }
     }
+}
+
+macro_rules! from {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Self {
+                Value::$variant(x.into())
+            }
+        }
+    )*};
+}
+from!(&str => Str, String => Str, bool => Bool, f64 => Num, Vec<Value> => Arr);
+from!(u8 => Int, u16 => Int, u32 => Int, u64 => Int, i8 => Int, i16 => Int, i32 => Int, i64 => Int);
+
+impl From<usize> for Value {
+    fn from(i: usize) -> Self {
+        Value::Int(i as i128)
+    }
+}
+
+/// An object with `members` in the given order.
+pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// `x` rounded to `decimals` places, as `format!("{x:.decimals$}")`
+/// rounds it. The writer prints the rounded value's shortest form, so
+/// a field keeps its rounding without fixing its text width.
+pub fn fixed(x: f64, decimals: usize) -> Value {
+    Value::Num(format!("{x:.decimals$}").parse().expect("Rust float text parses back"))
+}
+
+/// Renders `v` as the workspace's one JSON layout, newline-terminated:
+/// the root's members go one per line, an array of objects directly
+/// under the root puts one object per line, and everything deeper is
+/// inline with `": "` and `", "`. Floats print as their shortest
+/// round-trip text with a fraction or exponent kept (`1.0`, `2.5e-7`);
+/// non-finite floats print as `null`.
+pub fn render(v: &Value) -> String {
+    let mut out = String::new();
+    write(&mut out, v, 0);
+    out.push('\n');
+    out
+}
+
+fn write(out: &mut String, v: &Value, depth: usize) {
+    let ([open, close], rows, items): (_, _, Vec<(Option<&str>, &Value)>) = match v {
+        Value::Null => return out.push_str("null"),
+        Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => return out.push_str(&i.to_string()),
+        Value::Num(x) if x.is_finite() => return out.push_str(&format!("{x:?}")),
+        Value::Num(_) => return out.push_str("null"),
+        Value::Str(s) => return write_str(out, s),
+        Value::Arr(items) => {
+            let objects = items.iter().all(|item| matches!(item, Value::Obj(_)));
+            let rows = depth == 0 || (depth == 1 && objects);
+            (['[', ']'], rows, items.iter().map(|item| (None, item)).collect())
+        }
+        Value::Obj(members) => {
+            (['{', '}'], depth == 0, members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect())
+        }
+    };
+    let rows = rows && !items.is_empty();
+    let (sep, pad) = if rows { (",\n", "  ".repeat(depth + 1)) } else { (", ", String::new()) };
+    out.push(open);
+    for (i, (key, v)) in items.into_iter().enumerate() {
+        out.push_str(if i > 0 { sep } else if rows { "\n" } else { "" });
+        out.push_str(&pad);
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        write(out, v, depth + 1);
+    }
+    if rows {
+        out.push('\n');
+        out.push_str(&pad[2..]);
+    }
+    out.push(close);
+}
+
+/// Writes `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else as is.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses one complete JSON document (RFC 8259); trailing
@@ -166,6 +267,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.b[start..self.pos])
             .map_err(|_| format!("non-UTF-8 number at byte {start}"))?;
+        // An integer literal stays exact; one too long even for i128
+        // degrades to f64 like any float.
+        if let Ok(i) = text.parse::<i128>() {
+            return Ok(Value::Int(i));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -336,6 +442,93 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted malformed: {bad:?}");
         }
+    }
+
+    #[test]
+    fn integers_parse_exactly_over_u64_and_i64() {
+        assert_eq!(parse("18446744073709551615").unwrap(), Value::Int(u64::MAX as i128));
+        assert_eq!(parse("-9223372036854775808").unwrap(), Value::Int(i64::MIN as i128));
+        let (a, b) =
+            (parse("11400714819238673611").unwrap(), parse("11400714819238673612").unwrap());
+        assert_ne!(a, b, "20-digit integers one apart must stay distinct");
+        assert_eq!(render(&a), "11400714819238673611\n");
+    }
+
+    #[test]
+    fn numbers_compare_by_value_across_kinds() {
+        assert_eq!(parse("1").unwrap(), parse("1.0").unwrap());
+        assert_eq!(parse("0").unwrap(), Value::Num(0.0));
+        assert_ne!(parse("1").unwrap(), parse("1.5").unwrap());
+        assert_ne!(Value::Int(1), Value::Bool(true));
+        assert_eq!(parse("2.5").unwrap().as_num(), Some(2.5));
+        assert_eq!(parse("-7").unwrap().as_num(), Some(-7.0));
+    }
+
+    #[test]
+    fn renders_the_one_layout() {
+        let doc = obj([
+            ("bench", "b".into()),
+            ("seed", 7u64.into()),
+            ("ok", true.into()),
+            ("rate", 0.0.into()),
+            (
+                "cells",
+                vec![obj([("x", 1.into()), ("ys", vec![1.into(), 2.5.into()].into())])].into(),
+            ),
+            ("nums", vec![1.into(), Value::Null].into()),
+            ("inner", obj([("rows", vec![obj([])].into()), ("s", "q\"\\\n".into())])),
+            ("empty", Vec::new().into()),
+        ]);
+        let want = r#"{
+  "bench": "b",
+  "seed": 7,
+  "ok": true,
+  "rate": 0.0,
+  "cells": [
+    {"x": 1, "ys": [1, 2.5]}
+  ],
+  "nums": [1, null],
+  "inner": {"rows": [{}], "s": "q\"\\\n"},
+  "empty": []
+}
+"#;
+        assert_eq!(render(&doc), want);
+        assert_eq!(parse(want).unwrap(), doc);
+        assert_eq!(render(&Value::Arr(vec![obj([])])), "[\n  {}\n]\n");
+    }
+
+    #[test]
+    fn floats_render_shortest_and_non_finite_as_null() {
+        for (x, text) in [(1.0, "1.0"), (0.1, "0.1"), (-2.5e-7, "-2.5e-7"), (1e16, "1e16")] {
+            assert_eq!(render(&x.into()), format!("{text}\n"));
+            assert_eq!(parse(text).unwrap(), Value::Num(x));
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(render(&obj([("x", x.into())])), "{\n  \"x\": null\n}\n");
+        }
+    }
+
+    #[test]
+    fn fixed_rounds_like_format_precision() {
+        assert_eq!(render(&fixed(1.0, 4)), "1.0\n");
+        assert_eq!(render(&fixed(0.123456789, 6)), "0.123457\n");
+        assert_eq!(fixed(2.0 / 3.0, 4), parse("0.6667").unwrap());
+        assert_eq!(render(&fixed(f64::NAN, 3)), "null\n");
+    }
+
+    #[test]
+    fn render_then_parse_is_the_identity() {
+        let doc = obj([
+            ("s", "tab\tctl\u{1}é".into()),
+            ("big", u64::MAX.into()),
+            ("neg", i64::MIN.into()),
+            ("f", (1.0f64 / 3.0).into()),
+            ("a", vec![obj([("k", Value::Null)]), obj([("k", false.into())])].into()),
+        ]);
+        let text = render(&doc);
+        let back = parse(&text).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!(render(&back), text);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   full event stream would not fit in memory.
 //! * **Exporters.** Chrome trace-event JSON (loadable in Perfetto or
 //!   `chrome://tracing`) and a plain-text per-stage summary table.
-//! * **One JSON reader.** [`json`] holds the workspace's string
-//!   escaper and document parser.
+//! * **One JSON writer and reader.** [`json`] renders every JSON
+//!   document the workspace writes and parses them back.
 //!
 //! # Examples
 //!

@@ -48,7 +48,6 @@ pub struct Event {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
-static SESSION_ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// Whether a trace session is currently recording. The disabled fast
 /// path of every recording entry point is this one relaxed load.
@@ -326,7 +325,6 @@ impl TraceSession {
             sink.events.clear();
             sink.hists.clear();
         }
-        SESSION_ACTIVE.store(true, Ordering::Release);
         ENABLED.store(true, Ordering::SeqCst);
         TraceSession { guard: Some(guard), recording: true }
     }
@@ -362,7 +360,6 @@ impl TraceSession {
 
     fn disable_and_flush(&mut self) {
         ENABLED.store(false, Ordering::SeqCst);
-        SESSION_ACTIVE.store(false, Ordering::Release);
         // Flush this thread's buffer while the generation still
         // matches; a later generation bump invalidates stragglers.
         let _ = LOCAL.try_with(|cell| cell.borrow_mut().merge_into_sink());

@@ -10,7 +10,7 @@ use adsim::core::{
 use adsim::faults::{FaultConfig, FaultInjector};
 use adsim::platform::Platform;
 use adsim::runtime::Runtime;
-use adsim::trace::{validate_json, worker_utilization, EventKind, TraceSession};
+use adsim::trace::{json, validate_json, worker_utilization, EventKind, TraceSession};
 use adsim::vision::Pose2;
 use adsim::workload::{Resolution, Scenario, ScenarioKind};
 
@@ -103,8 +103,14 @@ fn chrome_export_of_pipeline_trace_is_well_formed() {
 
     let json = trace.chrome_json();
     validate_json(&json).expect("chrome export must be well-formed JSON");
-    assert!(json.starts_with("{\"traceEvents\":["));
-    assert!(json.contains("\"ph\":\"X\""), "must contain complete-span events");
+    let doc = json::parse(&json).expect("chrome export parses");
+    let Some(json::Value::Arr(events)) = doc.get("traceEvents") else {
+        panic!("chrome export must hold a traceEvents array")
+    };
+    assert!(
+        events.iter().any(|e| e.get("ph").and_then(json::Value::as_str) == Some("X")),
+        "must contain complete-span events"
+    );
 }
 
 /// Runtime fork-join regions surface per-worker busy spans that the
