@@ -1,7 +1,21 @@
 //! The predictive deadline governor: forecast slack, walk the ladder.
 
-use crate::knobs::{AnytimeConfig, QualityKnobs, QualityLevel};
+use crate::knobs::{default_ladder, AnytimeConfig, NominalCosts, QualityKnobs, QualityLevel};
 use crate::predictor::{LatencyPredictor, STAGES, STAGE_DET};
+
+/// Degrade when the forecast exceeds this fraction of the budget /
+/// deadline.
+const ENTER_FRACTION: f64 = 0.85;
+/// Upgrade only when the forecast at the better rung stays under this
+/// (stricter) fraction — the hysteresis band.
+const EXIT_FRACTION: f64 = 0.60;
+/// Minimum frames between knob switches (dwell window).
+pub const DWELL_FRAMES: u32 = 5;
+/// EWMA smoothing factor in `(0, 1]` for the predictor level and trend.
+const EWMA_ALPHA: f64 = 0.35;
+/// Forecast horizon in frames: the trend is extrapolated this far
+/// ahead, so ramps are caught before they cross the budget.
+const HORIZON_FRAMES: f64 = 3.0;
 
 /// One knob switch, for the governor's deterministic decision log.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +60,11 @@ impl std::fmt::Display for GovernorEvent {
 /// identical decision log on any worker count.
 #[derive(Debug, Clone)]
 pub struct Governor {
-    cfg: AnytimeConfig,
+    enabled: bool,
+    /// The degradation ladder, best quality first.
+    ladder: Vec<QualityLevel>,
+    /// Nominal full-quality stage costs (ms).
+    nominal: NominalCosts,
     predictor: LatencyPredictor,
     level: usize,
     last_switch: Option<u64>,
@@ -61,16 +79,13 @@ pub struct Governor {
 }
 
 impl Governor {
-    /// Creates a governor. An empty ladder is replaced by the default
-    /// ladder so the cost model is always defined.
-    pub fn new(mut cfg: AnytimeConfig) -> Self {
-        if cfg.ladder.is_empty() {
-            cfg.ladder = crate::knobs::default_ladder();
-        }
-        let predictor = LatencyPredictor::new(cfg.ewma_alpha, cfg.horizon_frames);
+    /// Creates a governor over [`default_ladder`].
+    pub fn new(cfg: AnytimeConfig) -> Self {
         Self {
-            cfg,
-            predictor,
+            enabled: cfg == AnytimeConfig::On,
+            ladder: default_ladder(),
+            nominal: NominalCosts::default(),
+            predictor: LatencyPredictor::new(EWMA_ALPHA, HORIZON_FRAMES),
             level: 0,
             last_switch: None,
             switches: 0,
@@ -84,12 +99,7 @@ impl Governor {
 
     /// Whether the governor is active.
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The governor's configuration.
-    pub fn config(&self) -> &AnytimeConfig {
-        &self.cfg
+        self.enabled
     }
 
     /// Index of the active rung (0 = best quality).
@@ -99,14 +109,14 @@ impl Governor {
 
     /// The active rung.
     pub fn current(&self) -> &QualityLevel {
-        &self.cfg.ladder[self.level]
+        &self.ladder[self.level]
     }
 
     /// The knobs the pipeline should run with this frame, or `None`
     /// when the governor is disabled (the pipeline keeps its built-in
     /// configuration untouched — the bit-identity guarantee).
     pub fn knobs(&self) -> Option<QualityKnobs> {
-        self.cfg.enabled.then(|| self.current().knobs)
+        self.enabled.then(|| self.current().knobs)
     }
 
     /// Knob switches performed so far.
@@ -129,19 +139,19 @@ impl Governor {
     /// supervisor charges multiplicative latency faults against.
     /// Defined even when disabled (rung 0 factors).
     pub fn nominal_stage_ms(&self, stage: usize) -> f64 {
-        self.cfg.nominal.stage_ms(stage) * self.current().factor(stage)
+        self.nominal.stage_ms(stage) * self.current().factor(stage)
     }
 
     /// Nominal end-to-end cost at the active rung (ms).
     pub fn nominal_e2e_ms(&self) -> f64 {
-        self.cfg.nominal.e2e_ms(self.current())
+        self.nominal.e2e_ms(self.current())
     }
 
     /// Forecast detection extra and summed end-to-end extras at `level`
     /// (ms). Extras scale with the rung's cost factors, exactly as the
     /// supervisor charges multiplicative latency faults.
     fn forecast_at(&self, fc: &[f64; STAGES], level: usize) -> (f64, f64) {
-        let lvl = &self.cfg.ladder[level];
+        let lvl = &self.ladder[level];
         let det = fc[STAGE_DET] * lvl.det_factor;
         let e2e = (0..STAGES).map(|s| fc[s] * lvl.factor(s)).sum();
         (det, e2e)
@@ -150,7 +160,7 @@ impl Governor {
     /// Runs the frame's switching decision against the watchdog budget
     /// and the end-to-end deadline. Call before the pipeline runs.
     pub fn decide(&mut self, frame: u64, stage_budget_ms: f64, deadline_ms: f64) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
         let fc = self.predictor.forecast();
@@ -159,11 +169,8 @@ impl Governor {
         self.last_pred_e2e = self.nominal_e2e_ms() + e2e_now;
         self.last_fc_sum = fc.iter().sum();
         self.has_forecast = true;
-        if self.cfg.ladder.len() < 2 {
-            return; // pinned rung: nothing to switch
-        }
         if let Some(last) = self.last_switch {
-            if frame.saturating_sub(last) < u64::from(self.cfg.dwell_frames) {
+            if frame.saturating_sub(last) < u64::from(DWELL_FRAMES) {
                 return;
             }
         }
@@ -173,18 +180,15 @@ impl Governor {
         // its nominal cost — a miss is nominal + extras > deadline).
         let fits = |gov: &Self, level: usize, fraction: f64| {
             let (det, e2e) = gov.forecast_at(&fc, level);
-            let slack =
-                (deadline_ms - gov.cfg.nominal.e2e_ms(&gov.cfg.ladder[level])).max(0.0);
+            let slack = (deadline_ms - gov.nominal.e2e_ms(&gov.ladder[level])).max(0.0);
             det <= fraction * stage_budget_ms && e2e <= fraction * slack
         };
-        let len = self.cfg.ladder.len();
-        let target = if !fits(self, self.level, self.cfg.enter_fraction) {
+        let len = self.ladder.len();
+        let target = if !fits(self, self.level, ENTER_FRACTION) {
             // Degrade to the best rung whose forecast clears the exit
             // band; bottom out on the last rung when nothing does.
-            (self.level + 1..len)
-                .find(|&l| fits(self, l, self.cfg.exit_fraction))
-                .unwrap_or(len - 1)
-        } else if self.level > 0 && fits(self, self.level - 1, self.cfg.exit_fraction) {
+            (self.level + 1..len).find(|&l| fits(self, l, EXIT_FRACTION)).unwrap_or(len - 1)
+        } else if self.level > 0 && fits(self, self.level - 1, EXIT_FRACTION) {
             // Upgrade one rung at a time, only when the better rung
             // clears the stricter exit band (hysteresis).
             self.level - 1
@@ -207,8 +211,8 @@ impl Governor {
             if degrade { "degrade" } else { "upgrade" },
             1,
         );
-        let a = self.cfg.ladder[from].knobs;
-        let b = self.cfg.ladder[target].knobs;
+        let a = self.ladder[from].knobs;
+        let b = self.ladder[target].knobs;
         if a.det_scale != b.det_scale {
             adsim_trace::instant("anytime.knob.resolution");
         }
@@ -220,8 +224,8 @@ impl Governor {
         }
         self.events.push(GovernorEvent {
             frame,
-            from: self.cfg.ladder[from].name,
-            to: self.cfg.ladder[target].name,
+            from: self.ladder[from].name,
+            to: self.ladder[target].name,
             degrade,
             predicted_det_ms: self.last_pred_det,
             predicted_e2e_ms: self.last_pred_e2e,
@@ -236,10 +240,10 @@ impl Governor {
     /// normalizes them to full quality, so predictor state describes
     /// the underlying load independent of the knob setting.
     pub fn observe(&mut self, extras_ms: [f64; STAGES]) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
-        let lvl = &self.cfg.ladder[self.level];
+        let lvl = &self.ladder[self.level];
         let normalized: [f64; STAGES] =
             std::array::from_fn(|s| extras_ms[s] / lvl.factor(s).max(1e-9));
         if self.has_forecast {
@@ -253,7 +257,7 @@ impl Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knobs::{default_ladder, ModelVariant};
+    use crate::knobs::ModelVariant;
 
     const BUDGET: f64 = 50.0;
     const DEADLINE: f64 = 100.0;
@@ -268,7 +272,7 @@ mod tests {
 
     #[test]
     fn disabled_governor_is_inert() {
-        let mut gov = Governor::new(AnytimeConfig::off());
+        let mut gov = Governor::new(AnytimeConfig::Off);
         for frame in 0..100 {
             step(&mut gov, frame, 100.0);
         }
@@ -280,7 +284,7 @@ mod tests {
 
     #[test]
     fn ramp_degrades_before_the_budget_is_crossed() {
-        let mut gov = Governor::new(AnytimeConfig::on());
+        let mut gov = Governor::new(AnytimeConfig::On);
         let mut acted_at_extra = None;
         for frame in 0..60 {
             let extra = 2.0 * frame as f64; // slow drift on DET
@@ -295,10 +299,9 @@ mod tests {
 
     #[test]
     fn alternating_load_at_the_threshold_respects_the_dwell_window() {
-        let cfg = AnytimeConfig::on();
-        let dwell = cfg.dwell_frames as u64;
-        let enter = cfg.enter_fraction;
-        let mut gov = Governor::new(cfg);
+        let dwell = u64::from(DWELL_FRAMES);
+        let enter = ENTER_FRACTION;
+        let mut gov = Governor::new(AnytimeConfig::On);
         // Alternate the DET load exactly around the enter threshold.
         for frame in 0..200u64 {
             let extra = if frame % 2 == 0 { enter * BUDGET * 1.05 } else { 0.0 };
@@ -319,7 +322,7 @@ mod tests {
 
     #[test]
     fn recovery_upgrades_back_to_full_quality() {
-        let mut gov = Governor::new(AnytimeConfig::on());
+        let mut gov = Governor::new(AnytimeConfig::On);
         for frame in 0..60 {
             step(&mut gov, frame, 60.0); // sustained overload
         }
@@ -334,30 +337,18 @@ mod tests {
 
     #[test]
     fn deep_overload_bottoms_out_on_the_last_rung() {
-        let mut gov = Governor::new(AnytimeConfig::on());
+        let mut gov = Governor::new(AnytimeConfig::On);
         for frame in 0..100 {
             step(&mut gov, frame, 500.0);
         }
-        assert_eq!(gov.level(), gov.config().ladder.len() - 1);
+        assert_eq!(gov.level(), default_ladder().len() - 1);
         assert_eq!(gov.current().knobs.det_variant, ModelVariant::Reduced);
-    }
-
-    #[test]
-    fn pinned_ladder_never_switches() {
-        let mut gov = Governor::new(AnytimeConfig::pinned(1));
-        for frame in 0..100 {
-            step(&mut gov, frame, if frame % 3 == 0 { 300.0 } else { 0.0 });
-        }
-        assert_eq!(gov.level(), 0);
-        assert!(gov.events().is_empty());
-        assert_eq!(gov.current().name, "reduced");
-        assert!(gov.knobs().is_some(), "pinned rung still applies its knobs");
     }
 
     #[test]
     fn decision_log_is_reproducible() {
         let run = || {
-            let mut gov = Governor::new(AnytimeConfig::on());
+            let mut gov = Governor::new(AnytimeConfig::On);
             for frame in 0..150u64 {
                 let extra = ((frame * 7919) % 83) as f64;
                 step(&mut gov, frame, extra);
@@ -371,7 +362,7 @@ mod tests {
     fn e2e_pressure_alone_degrades() {
         // Load on LOC (no knob) pushes the e2e forecast over the
         // deadline; the governor sheds DET/TRA cost to compensate.
-        let mut gov = Governor::new(AnytimeConfig::on());
+        let mut gov = Governor::new(AnytimeConfig::On);
         for frame in 0..60 {
             gov.decide(frame, BUDGET, DEADLINE);
             gov.observe([0.0, 0.0, 30.0, 0.0, 0.0]);
@@ -381,7 +372,7 @@ mod tests {
 
     #[test]
     fn events_render_for_the_log() {
-        let mut gov = Governor::new(AnytimeConfig::on());
+        let mut gov = Governor::new(AnytimeConfig::On);
         for frame in 0..60 {
             step(&mut gov, frame, 2.5 * frame as f64);
         }
@@ -389,12 +380,5 @@ mod tests {
         for e in gov.events() {
             assert!(e.to_string().starts_with("frame "), "{e}");
         }
-    }
-
-    #[test]
-    fn empty_ladder_falls_back_to_default() {
-        let cfg = AnytimeConfig { ladder: Vec::new(), ..AnytimeConfig::on() };
-        let gov = Governor::new(cfg);
-        assert_eq!(gov.config().ladder.len(), default_ladder().len());
     }
 }

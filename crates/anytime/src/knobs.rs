@@ -1,4 +1,5 @@
-//! Quality knobs, the degradation ladder, and governor tuning.
+//! Quality knobs, the degradation ladder, and the governor's on/off
+//! switch.
 
 use crate::predictor::{STAGES, STAGE_DET, STAGE_FUS, STAGE_LOC, STAGE_MOT, STAGE_TRA};
 
@@ -157,74 +158,18 @@ pub fn default_ladder() -> Vec<QualityLevel> {
     ]
 }
 
-/// Governor tuning. [`AnytimeConfig::off`] (the [`Default`]) disables
-/// the governor entirely: no prediction, no knob changes, and the
-/// supervisor's behavior is bit-identical to a build without this
-/// crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnytimeConfig {
-    /// Master switch. When false the governor is inert.
-    pub enabled: bool,
-    /// The degradation ladder, best quality first. Must be non-empty;
-    /// a single-rung ladder pins that quality statically.
-    pub ladder: Vec<QualityLevel>,
-    /// Nominal full-quality stage costs (ms).
-    pub nominal: NominalCosts,
-    /// Degrade when the forecast exceeds this fraction of the budget /
-    /// deadline.
-    pub enter_fraction: f64,
-    /// Upgrade only when the forecast at the better rung stays under
-    /// this (stricter) fraction — the hysteresis band.
-    pub exit_fraction: f64,
-    /// Minimum frames between knob switches (dwell window).
-    pub dwell_frames: u32,
-    /// EWMA smoothing factor in `(0, 1]` for the predictor level and
-    /// trend.
-    pub ewma_alpha: f64,
-    /// Forecast horizon in frames: the trend is extrapolated this far
-    /// ahead, so ramps are caught before they cross the budget.
-    pub horizon_frames: f64,
-}
-
-impl AnytimeConfig {
-    /// Governor disabled (the default).
-    pub fn off() -> Self {
-        Self {
-            enabled: false,
-            ladder: default_ladder(),
-            nominal: NominalCosts::default(),
-            enter_fraction: 0.85,
-            exit_fraction: 0.60,
-            dwell_frames: 5,
-            ewma_alpha: 0.35,
-            horizon_frames: 3.0,
-        }
-    }
-
+/// Whether the predictive governor runs. [`AnytimeConfig::Off`] (the
+/// [`Default`]) disables it entirely: no prediction, no knob changes,
+/// and the supervisor's behavior is bit-identical to a build without
+/// this crate. [`AnytimeConfig::On`] walks [`default_ladder`] with the
+/// [`NominalCosts::default`] cost model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum AnytimeConfig {
+    /// Governor inert.
+    #[default]
+    Off,
     /// Governor enabled with the default ladder and thresholds.
-    pub fn on() -> Self {
-        Self { enabled: true, ..Self::off() }
-    }
-
-    /// Governor pinned to a single rung of the default ladder — no
-    /// switching can ever occur, so the pipeline runs statically at
-    /// that quality. Used by the frontier bench for its per-rung
-    /// reference points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range for the default ladder.
-    pub fn pinned(level: usize) -> Self {
-        let ladder = default_ladder();
-        assert!(level < ladder.len(), "pinned level {level} out of range");
-        Self { enabled: true, ladder: vec![ladder[level]], ..Self::off() }
-    }
-}
-
-impl Default for AnytimeConfig {
-    fn default() -> Self {
-        Self::off()
-    }
+    On,
 }
 
 #[cfg(test)]
@@ -233,10 +178,10 @@ mod tests {
 
     #[test]
     fn default_is_off_and_ladder_descends() {
-        let cfg = AnytimeConfig::default();
-        assert!(!cfg.enabled);
-        assert!(cfg.ladder.len() >= 2);
-        for pair in cfg.ladder.windows(2) {
+        assert_eq!(AnytimeConfig::default(), AnytimeConfig::Off);
+        let ladder = default_ladder();
+        assert!(ladder.len() >= 2);
+        for pair in ladder.windows(2) {
             assert!(pair[1].det_factor < pair[0].det_factor, "ladder must descend in cost");
             assert!(pair[1].knobs.tracker_capacity <= pair[0].knobs.tracker_capacity);
         }
@@ -244,18 +189,11 @@ mod tests {
 
     #[test]
     fn nominal_e2e_leaves_slack_under_the_deadline() {
-        let cfg = AnytimeConfig::off();
-        let full = cfg.nominal.e2e_ms(&cfg.ladder[0]);
+        let (nominal, ladder) = (NominalCosts::default(), default_ladder());
+        let full = nominal.e2e_ms(&ladder[0]);
         assert!(full < 100.0, "full-quality nominal {full} must fit the 100 ms deadline");
-        let min = cfg.nominal.e2e_ms(cfg.ladder.last().unwrap());
+        let min = nominal.e2e_ms(ladder.last().unwrap());
         assert!(min < 0.5 * full, "minimum rung must at least halve the nominal cost");
-    }
-
-    #[test]
-    fn pinned_ladder_has_one_rung() {
-        let cfg = AnytimeConfig::pinned(2);
-        assert_eq!(cfg.ladder.len(), 1);
-        assert_eq!(cfg.ladder[0].name, "minimum");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! ```
 //! use adsim_anytime::{AnytimeConfig, Governor};
 //!
-//! let mut gov = Governor::new(AnytimeConfig::on());
+//! let mut gov = Governor::new(AnytimeConfig::On);
 //! // A sustained ramp on the detection stage (virtual ms, full-quality
 //! // normalized): the governor degrades before the 50 ms budget is hit.
 //! for frame in 0..40u64 {
@@ -48,7 +48,7 @@ mod governor;
 mod knobs;
 mod predictor;
 
-pub use governor::{Governor, GovernorEvent};
+pub use governor::{Governor, GovernorEvent, DWELL_FRAMES};
 pub use knobs::{
     default_ladder, AnytimeConfig, ModelVariant, NominalCosts, QualityKnobs, QualityLevel,
 };

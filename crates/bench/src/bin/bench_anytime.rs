@@ -98,7 +98,7 @@ fn drift_mixes() -> Vec<(&'static str, FaultConfig)> {
 fn policies() -> [(&'static str, SupervisorConfig); 2] {
     [
         ("off", SupervisorConfig::default()),
-        ("on", SupervisorConfig { anytime: AnytimeConfig::on(), ..SupervisorConfig::default() }),
+        ("on", SupervisorConfig { anytime: AnytimeConfig::On, ..SupervisorConfig::default() }),
     ]
 }
 
@@ -202,7 +202,7 @@ fn early_action_probe() -> Probe {
         let mut on = ModeledSupervisor::new(
             ModeledPipeline::new(PlatformConfig::uniform(Platform::Gpu), 1),
             FaultInjector::new(seed, drift.clone()),
-            SupervisorConfig { anytime: AnytimeConfig::on(), ..SupervisorConfig::default() },
+            SupervisorConfig { anytime: AnytimeConfig::On, ..SupervisorConfig::default() },
         );
         on.simulate(PROBE_FRAMES, 1.0);
         let governor_frame = on

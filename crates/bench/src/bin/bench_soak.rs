@@ -189,7 +189,7 @@ fn main() {
                 derived_seed(i),
                 frames,
             )
-            .with_guard(GuardConfig::voting()),
+            .with_guard(GuardConfig::Voting),
         );
         names.push(("data", "voting"));
     }

@@ -49,6 +49,22 @@ impl DeadlineStats {
     }
 }
 
+/// Whole camera periods elapsed at `now_ms`.
+///
+/// On a multi-hour horizon the quotient can exceed what fits in the
+/// mantissa — and with a degenerate clock it can go negative or
+/// non-finite. The `f64 → usize` `as` cast saturates rather than
+/// wrapping, and non-finite / negative inputs pin to frame 0, so the
+/// replay clock can never jump backwards through a cast.
+fn frames_elapsed(now_ms: f64, period_ms: f64) -> usize {
+    let n = (now_ms / period_ms).floor();
+    if n.is_finite() && n > 0.0 {
+        n as usize // saturates at usize::MAX for huge horizons
+    } else {
+        0
+    }
+}
+
 /// Replays a camera producing one frame every `period_ms` through the
 /// modeled pipeline for `frames` frames.
 ///
@@ -67,22 +83,6 @@ impl DeadlineStats {
 /// let stats = replay_stream(&mut pipe, 2_000, 100.0, 100.0, 1.0);
 /// assert!(stats.effective_fps > 9.0);
 /// ```
-/// Whole camera periods elapsed at `now_ms`.
-///
-/// On a multi-hour horizon the quotient can exceed what fits in the
-/// mantissa — and with a degenerate clock it can go negative or
-/// non-finite. The `f64 → usize` `as` cast saturates rather than
-/// wrapping, and non-finite / negative inputs pin to frame 0, so the
-/// replay clock can never jump backwards through a cast.
-fn frames_elapsed(now_ms: f64, period_ms: f64) -> usize {
-    let n = (now_ms / period_ms).floor();
-    if n.is_finite() && n > 0.0 {
-        n as usize // saturates at usize::MAX for huge horizons
-    } else {
-        0
-    }
-}
-
 pub fn replay_stream(
     pipeline: &mut ModeledPipeline,
     frames: usize,

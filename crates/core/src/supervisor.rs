@@ -16,7 +16,7 @@
 //! * **planner speed reduction / safe stop** when confidence collapses
 //!   (sustained lock loss or sensor blackout) — commanded speed is
 //!   capped, then the plan is replaced by an emergency stop until the
-//!   pipeline has been healthy for a configured number of frames;
+//!   pipeline has been healthy for `RECOVER_FRAMES` frames;
 //! * **anytime quality reduction** when the predictive deadline
 //!   governor (`adsim-anytime`) forecasts that the current quality
 //!   level will miss the frame budget — detector resolution, model
@@ -233,27 +233,29 @@ impl std::fmt::Display for DegradationEvent {
     }
 }
 
-/// Supervisor tuning. The defaults fit the paper's 100 ms / 10 FPS
-/// operating point.
+/// Per-stage watchdog budget on *virtual* (injected) latency (ms); a
+/// stage exceeding it is abandoned for the frame.
+const STAGE_BUDGET_MS: f64 = 50.0;
+/// Base retry backoff (ms), doubling per attempt.
+const RETRY_BACKOFF_MS: f64 = 2.0;
+/// Consecutive pose-less frames before a safe stop.
+const LOCK_LOSS_SAFE_STOP: u32 = 6;
+/// Consecutive blacked-out frames before a safe stop.
+const BLACKOUT_SAFE_STOP: u32 = 4;
+/// Consecutive healthy frames required to exit a safe stop.
+const RECOVER_FRAMES: u32 = 3;
+/// Speed multiplier while speed-reduced.
+const DEGRADED_SPEED_FACTOR: f64 = 0.5;
+/// End-to-end deadline for reported-latency accounting (ms): the
+/// paper's 100 ms / 10 FPS operating point.
+const DEADLINE_MS: f64 = 100.0;
+
+/// Supervisor settings. The budgets, safe-stop thresholds and deadline
+/// are constants fitted to the paper's 100 ms / 10 FPS operating point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
-    /// Per-stage watchdog budget on *virtual* (injected) latency (ms);
-    /// a stage exceeding it is abandoned for the frame.
-    pub stage_budget_ms: f64,
     /// Retry budget for a stalled stage worker.
     pub max_retries: u32,
-    /// Base retry backoff (ms), doubling per attempt.
-    pub retry_backoff_ms: f64,
-    /// Consecutive pose-less frames before a safe stop.
-    pub lock_loss_safe_stop: u32,
-    /// Consecutive blacked-out frames before a safe stop.
-    pub blackout_safe_stop: u32,
-    /// Consecutive healthy frames required to exit a safe stop.
-    pub recover_frames: u32,
-    /// Speed multiplier while speed-reduced.
-    pub degraded_speed_factor: f64,
-    /// End-to-end deadline for reported-latency accounting (ms).
-    pub deadline_ms: f64,
     /// Safety-monitor and data-plane configuration (native supervisor
     /// only; the modeled mirror has no stage payloads to check).
     pub guard: GuardConfig,
@@ -273,16 +275,9 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
-            stage_budget_ms: 50.0,
             max_retries: 2,
-            retry_backoff_ms: 2.0,
-            lock_loss_safe_stop: 6,
-            blackout_safe_stop: 4,
-            recover_frames: 3,
-            degraded_speed_factor: 0.5,
-            deadline_ms: 100.0,
             guard: GuardConfig::default(),
-            anytime: AnytimeConfig::off(),
+            anytime: AnytimeConfig::Off,
             vehicle: 0,
             flight_frames: 32,
         }
@@ -614,7 +609,7 @@ fn toggle_mode(
 
 impl SupervisorCore {
     fn new(cfg: SupervisorConfig) -> Self {
-        let governor = Governor::new(cfg.anytime.clone());
+        let governor = Governor::new(cfg.anytime);
         let recorder = FlightRecorder::new(cfg.flight_frames);
         Self {
             cfg,
@@ -650,7 +645,7 @@ impl SupervisorCore {
         // The governor decides *first*, on last frame's forecast, so
         // a pre-emptive step-down shrinks this frame's drift charge —
         // that is the whole mechanism by which it averts the miss.
-        self.governor.decide(frame, self.cfg.stage_budget_ms, self.cfg.deadline_ms);
+        self.governor.decide(frame, STAGE_BUDGET_MS, DEADLINE_MS);
         let mut extra = FrameLatency {
             detection: 0.0,
             tracking: 0.0,
@@ -681,8 +676,8 @@ impl SupervisorCore {
             for attempt in 1..=attempts_run {
                 // Each attempt's backoff saturates at the stage budget
                 // — the watchdog would abandon the stage there anyway.
-                let backoff = (self.cfg.retry_backoff_ms * 2f64.powi(attempt as i32 - 1))
-                    .min(self.cfg.stage_budget_ms);
+                let backoff =
+                    (RETRY_BACKOFF_MS * 2f64.powi(attempt as i32 - 1)).min(STAGE_BUDGET_MS);
                 stall_cost += stall.stall_ms + backoff;
                 self.events.push(DegradationEvent {
                     frame,
@@ -739,10 +734,10 @@ impl SupervisorCore {
         // Watchdog: a stage whose virtual latency blows the budget is
         // abandoned at the budget mark rather than dragging the frame
         // past the deadline.
-        if !skip_detection && extra.detection > self.cfg.stage_budget_ms {
+        if !skip_detection && extra.detection > STAGE_BUDGET_MS {
             detection_cause =
                 Some(DegradationCause::DetectionOverBudget { virtual_ms: extra.detection });
-            extra.detection = self.cfg.stage_budget_ms;
+            extra.detection = STAGE_BUDGET_MS;
             skip_detection = true;
         }
 
@@ -830,11 +825,11 @@ impl SupervisorCore {
         let want_tracker_only = !detection_ran;
         let want_dead_reck = covered;
         let mut want_safe = self.safe_stop_since.is_some();
-        if want_safe && self.healthy_streak >= self.cfg.recover_frames {
+        if want_safe && self.healthy_streak >= RECOVER_FRAMES {
             want_safe = false;
         }
-        let collapse = self.consecutive_lost >= self.cfg.lock_loss_safe_stop
-            || self.consecutive_blackout >= self.cfg.blackout_safe_stop;
+        let collapse = self.consecutive_lost >= LOCK_LOSS_SAFE_STOP
+            || self.consecutive_blackout >= BLACKOUT_SAFE_STOP;
         // A planner-envelope trip means the plan itself is unsafe —
         // the only safe output this frame is an emergency stop.
         if collapse || monitors.planner {
@@ -935,10 +930,10 @@ impl SupervisorCore {
         if self.quality_since.is_some() {
             self.stats.quality_reduced_frames += 1;
         }
-        if reported_e2e_ms > self.cfg.deadline_ms {
+        if reported_e2e_ms > DEADLINE_MS {
             self.stats.deadline_misses += 1;
         }
-        if plan.virtual_e2e_ms > self.cfg.deadline_ms {
+        if plan.virtual_e2e_ms > DEADLINE_MS {
             self.stats.virtual_deadline_misses += 1;
             // Perfetto counter track: deterministic miss count next to
             // the stage spans that caused it.
@@ -952,9 +947,7 @@ impl SupervisorCore {
 
         Verdict {
             safe_stop: self.safe_stop_since.is_some(),
-            speed_factor: self
-                .speed_red_since
-                .map(|_| self.cfg.degraded_speed_factor),
+            speed_factor: self.speed_red_since.map(|_| DEGRADED_SPEED_FACTOR),
         }
     }
 
@@ -985,7 +978,7 @@ impl SupervisorCore {
         }
 
         t::counter_add("sup_frames_total", "", 1);
-        if plan.virtual_e2e_ms > self.cfg.deadline_ms {
+        if plan.virtual_e2e_ms > DEADLINE_MS {
             t::counter_add("sup_virtual_deadline_miss_total", "", 1);
         }
         for (i, &label) in STAGE_LABELS.iter().enumerate() {
@@ -1363,7 +1356,7 @@ impl Supervisor {
         // delivery, transient transport corruption does not.
         let mut data_bad = false;
         let mut payload_digest = 0u64;
-        if self.core.cfg.guard.enabled && self.core.cfg.guard.data_plane {
+        if self.core.cfg.guard != GuardConfig::Off {
             let expected = digest_image(image);
             payload_digest = expected.0;
             let (dv, replacement) = self.guard.check_delivery(frame, expected, &img, || {
@@ -1890,7 +1883,7 @@ mod tests {
         for e in sup.events() {
             if let DegradationEventKind::Retry { backoff_ms, .. } = e.kind {
                 assert!(backoff_ms.is_finite());
-                assert!(backoff_ms <= sup_cfg.stage_budget_ms, "backoff {backoff_ms}");
+                assert!(backoff_ms <= STAGE_BUDGET_MS, "backoff {backoff_ms}");
             }
         }
     }

@@ -60,11 +60,6 @@ impl Network {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    /// Total number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.params().iter().map(|t| t.len()).sum()
-    }
-
     /// Whether every parameter tensor of `self` shares its underlying
     /// storage with the corresponding tensor of `other` — the pointer-
     /// equality form of the fleet's "weights allocated once" guarantee.
@@ -311,11 +306,6 @@ impl NetworkBuilder {
         let bias = Tensor::from_vec([out_features], self.init.bias(out_features))
             .expect("bias length matches by construction");
         self.push(Layer::Linear { weight, bias: Some(bias), activation })
-    }
-
-    /// Appends a standalone activation.
-    pub fn activate(self, activation: Activation) -> Self {
-        self.push(Layer::Activate(activation))
     }
 
     /// Finishes construction.

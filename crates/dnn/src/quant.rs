@@ -126,11 +126,6 @@ impl QuantTensor {
         &self.shape
     }
 
-    /// The raw int8 values.
-    pub fn as_i8(&self) -> &[i8] {
-        &self.data
-    }
-
     /// Reconstructs the float tensor.
     pub fn dequantize(&self) -> Tensor {
         let rows = self.shape.dim(0);

@@ -76,8 +76,6 @@ pub struct FaultConfig {
     /// Probability per frame of a worker-pool stall on the detection
     /// stage (the stage's worker wedges and must be retried).
     pub stall_rate: f64,
-    /// Cost of each stalled attempt (ms), charged per retry.
-    pub stall_ms: f64,
     /// Range of failed attempts before a stalled worker clears,
     /// inclusive. Values beyond the supervisor's retry budget make the
     /// stage fail outright for the frame.
@@ -128,7 +126,6 @@ impl FaultConfig {
             tracker_divergence_rate: 0.0,
             tracker_divergence_shift: 0.08,
             stall_rate: 0.0,
-            stall_ms: 5.0,
             stall_attempts: (1, 4),
             stuck_rate: 0.0,
             stuck_frames: (1, 3),

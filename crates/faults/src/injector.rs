@@ -1,6 +1,9 @@
 use crate::config::{FaultConfig, FaultStage};
 use adsim_stats::Rng64;
 
+/// Cost of each stalled attempt (ms), charged per retry.
+const STALL_MS: f64 = 5.0;
+
 /// Salt-and-pepper corruption parameters for one frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PixelCorruption {
@@ -86,11 +89,6 @@ impl FrameFaults {
             && self.time_skew_s.is_none()
             && self.drift.is_empty()
             && self.crash.is_none()
-    }
-
-    /// Total injected latency across all stages (ms), spikes only.
-    pub fn spike_ms(&self) -> f64 {
-        self.spikes.iter().map(|(_, ms)| ms).sum()
     }
 
     /// The drift load multiplier for `stage` (1.0 when the stage is
@@ -440,7 +438,7 @@ impl FaultInjector {
                     draws.stall = Some(WorkerStall {
                         stage: FaultStage::Detection,
                         attempts: rng.range_usize(lo as usize, hi as usize + 1) as u32,
-                        stall_ms: self.cfg.stall_ms,
+                        stall_ms: STALL_MS,
                     });
                 }
             }

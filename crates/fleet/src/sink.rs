@@ -123,14 +123,4 @@ impl FleetSink {
         self.replayed_frames += outcome.replayed_frames;
         self.quarantined += outcome.quarantined as u64;
     }
-
-    /// Fleet vehicles×frames/s throughput over a measured wall-clock
-    /// window.
-    pub fn throughput_fps(&self, wall_s: f64) -> f64 {
-        if wall_s > 0.0 {
-            self.frames as f64 / wall_s
-        } else {
-            0.0
-        }
-    }
 }

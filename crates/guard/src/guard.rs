@@ -3,104 +3,31 @@
 //! the trip statistics the soak harness asserts on.
 
 use crate::digest::{digest_image, Digest};
-use crate::monitors::{self, Monitor, Violation};
+use crate::monitors::{self, Monitor, Violation, MAX_DT_S, MAX_SPEED_MPS};
 use adsim_dnn::detection::Detection;
 use adsim_perception::TrackedObject;
 use adsim_planning::{FusedFrame, MotionPlan};
 use adsim_vision::{GrayImage, Pose2};
 
-/// Guard thresholds and feature switches.
-///
-/// The thresholds are sized so the *clean* pipeline never trips (see
-/// the module docs in `monitors.rs`); the defaults enable the monitors
-/// and the data plane but leave the dual-execution vote opt-in, since
-/// it re-delivers the sensor payload on every digest mismatch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardConfig {
-    /// Master switch; `false` makes every check a no-op.
-    pub enabled: bool,
-    /// Digest verification at the sensor → DET boundary.
-    pub data_plane: bool,
-    /// On a digest mismatch, request one re-delivery and vote: a match
-    /// on the second read classifies the corruption as transient (and
+/// Which guard layers run. The thresholds are constants in
+/// `monitors.rs`, sized so the *clean* pipeline never trips; the
+/// default runs the monitors and the data plane but leaves the
+/// dual-execution vote opt-in, since it re-delivers the sensor payload
+/// on every digest mismatch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum GuardConfig {
+    /// Everything off — the guard becomes a transparent no-op.
+    Off,
+    /// Digest verification at the sensor → DET boundary plus the
+    /// stage-boundary invariant monitors.
+    #[default]
+    Monitors,
+    /// [`GuardConfig::Monitors`] plus the dual-execution vote: on a
+    /// digest mismatch, request one re-delivery and vote — a match on
+    /// the second read classifies the corruption as transient (and
     /// recovers the frame); a second mismatch confirms a persistent
     /// sensor outage.
-    pub dual_execution: bool,
-    /// Stage-boundary invariant monitors.
-    pub monitors: bool,
-    /// Allowed box-center excursion outside `[0, 1]`.
-    pub bbox_margin: f32,
-    /// Max IoU two surviving same-class detections may share. The
-    /// detector suppresses at 0.5; the bound adds slack so boundary
-    /// rounding never trips it.
-    pub nms_iou_bound: f32,
-    /// Base allowed inter-frame track displacement (normalized units).
-    pub track_jump_base: f64,
-    /// Additional allowed displacement per meter of ego motion.
-    pub track_jump_per_m: f64,
-    /// Kinematic envelope: max plausible vehicle speed (m/s).
-    pub max_speed_mps: f64,
-    /// Envelope slack absorbing localization jitter (m). Two
-    /// consecutive estimates can each carry meters of independent
-    /// error, so the slack covers twice the worst clean-pipeline
-    /// residual.
-    pub pose_slack_m: f64,
-    /// Minimum plausible inter-frame timestamp delta (s).
-    pub min_dt_s: f64,
-    /// Maximum plausible inter-frame timestamp delta (s).
-    pub max_dt_s: f64,
-    /// Max heading change between consecutive planned poses (rad).
-    pub max_turn_per_step: f64,
-    /// Max commanded-speed *surge* per second (m/s²); braking is
-    /// unbounded. The bound sits far above the IDM's accel parameter
-    /// because the commanded speed rides on the fused ego-speed
-    /// estimate, whose differencing jitter aliases into apparent
-    /// acceleration.
-    pub max_accel_mps2: f64,
-    /// Required obstacle clearance as a fraction of the obstacle's
-    /// fused collision radius.
-    pub clearance_frac: f64,
-    /// How far into the trajectory the clearance check looks (s).
-    /// Beyond ~1 s the guard's constant-velocity obstacle prediction
-    /// and the planner's Frenet model diverge enough to false-trip.
-    pub clearance_horizon_s: f64,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            data_plane: true,
-            dual_execution: false,
-            monitors: true,
-            bbox_margin: 0.05,
-            nms_iou_bound: 0.65,
-            track_jump_base: 0.20,
-            track_jump_per_m: 0.05,
-            max_speed_mps: 40.0,
-            pose_slack_m: 4.0,
-            min_dt_s: 1e-6,
-            max_dt_s: 0.5,
-            // One heading increment of the 16-heading lattice is
-            // 2π/16 ≈ 0.39 rad; give headroom over both planners.
-            max_turn_per_step: 0.5,
-            max_accel_mps2: 50.0,
-            clearance_frac: 0.4,
-            clearance_horizon_s: 1.0,
-        }
-    }
-}
-
-impl GuardConfig {
-    /// Everything off — the guard becomes a transparent no-op.
-    pub fn off() -> Self {
-        Self { enabled: false, data_plane: false, dual_execution: false, monitors: false, ..Self::default() }
-    }
-
-    /// Defaults plus the dual-execution vote.
-    pub fn voting() -> Self {
-        Self { dual_execution: true, ..Self::default() }
-    }
+    Voting,
 }
 
 /// One monitor trip, recorded in frame order.
@@ -125,7 +52,7 @@ impl std::fmt::Display for GuardEvent {
 pub enum DataVerdict {
     /// Digest matches the capture digest.
     Clean,
-    /// Digest mismatch; no vote requested (dual execution off).
+    /// Digest mismatch; no vote requested (not [`GuardConfig::Voting`]).
     Corrupted,
     /// Digest mismatch, and the re-delivered payload matched — a
     /// transient transport fault. The caller should process the
@@ -266,7 +193,7 @@ impl PipelineGuard {
     /// Verifies the sensor → DET hand-off. `expected` is the digest
     /// computed where the frame was produced; `delivered` is the
     /// payload that arrived; `redeliver` is called at most once (only
-    /// with dual execution on, only on a mismatch) to fetch a second
+    /// with [`GuardConfig::Voting`], only on a mismatch) to fetch a second
     /// delivery for the vote.
     ///
     /// The stuck-at check runs first: a payload bit-identical to the
@@ -279,7 +206,7 @@ impl PipelineGuard {
         delivered: &GrayImage,
         redeliver: impl FnOnce() -> GrayImage,
     ) -> (DataVerdict, Option<GrayImage>) {
-        if !self.cfg.enabled || !self.cfg.data_plane {
+        if self.cfg == GuardConfig::Off {
             return (DataVerdict::Clean, None);
         }
         self.stats.digest_checks += 1;
@@ -298,7 +225,7 @@ impl PipelineGuard {
         self.stats.digest_mismatches += 1;
         adsim_telemetry::counter_add("guard_digest_mismatch_total", "", 1);
         self.record(frame, Monitor::DataPlane, Violation::DigestMismatch);
-        if !self.cfg.dual_execution {
+        if self.cfg != GuardConfig::Voting {
             return (DataVerdict::Corrupted, None);
         }
         let second = redeliver();
@@ -336,14 +263,14 @@ impl PipelineGuard {
         plan: &MotionPlan,
     ) -> FrameVerdict {
         let mut verdict = FrameVerdict::default();
-        if !self.cfg.enabled || !self.cfg.monitors {
+        if self.cfg == GuardConfig::Off {
             return verdict;
         }
         self.stats.frames += 1;
         let start = self.events.len();
 
         if let Some(dets) = detections {
-            for v in monitors::check_detections(&self.cfg, dets) {
+            for v in monitors::check_detections(dets) {
                 self.record(frame, Monitor::Detection, v);
             }
         }
@@ -354,20 +281,20 @@ impl PipelineGuard {
             (Some(p), Some((q, _))) => p.distance(&q),
             // No pose this frame (or no history): be generous and
             // assume envelope-maximal motion over a nominal frame.
-            _ => self.cfg.max_speed_mps * self.cfg.max_dt_s,
+            _ => MAX_SPEED_MPS * MAX_DT_S,
         };
-        for v in monitors::check_tracks(&self.cfg, &self.prev_tracks, tracks, ego_motion_m) {
+        for v in monitors::check_tracks(&self.prev_tracks, tracks, ego_motion_m) {
             self.record(frame, Monitor::Tracker, v);
         }
 
         if let Some(p) = pose {
-            for v in monitors::check_pose(&self.cfg, self.prev_pose, p, time_s) {
+            for v in monitors::check_pose(self.prev_pose, p, time_s) {
                 self.record(frame, Monitor::Localization, v);
             }
         }
 
         let frame_dt_s = self.prev_time_s.map_or(0.1, |t| time_s - t);
-        for v in monitors::check_plan(&self.cfg, self.prev_speed, fused, plan, frame_dt_s) {
+        for v in monitors::check_plan(self.prev_speed, fused, plan, frame_dt_s) {
             self.record(frame, Monitor::Planner, v);
         }
 
@@ -411,7 +338,7 @@ mod tests {
 
     #[test]
     fn disabled_guard_is_a_no_op() {
-        let mut g = PipelineGuard::new(GuardConfig::off());
+        let mut g = PipelineGuard::new(GuardConfig::Off);
         let img = GrayImage::new(8, 8);
         let (v, replacement) =
             g.check_delivery(0, Digest(0xDEAD), &img, || unreachable!("no vote when off"));
@@ -445,7 +372,7 @@ mod tests {
 
     #[test]
     fn dual_execution_vote_recovers_transients_and_confirms_outages() {
-        let mut g = PipelineGuard::new(GuardConfig::voting());
+        let mut g = PipelineGuard::new(GuardConfig::Voting);
         let pristine = GrayImage::from_fn(16, 16, |x, y| (x * y) as u8);
         let mut corrupted = pristine.clone();
         corrupted.as_mut_slice()[0] = !corrupted.as_slice()[0];

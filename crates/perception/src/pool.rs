@@ -29,15 +29,16 @@ pub struct TrackerPoolConfig {
     /// A track is dropped after this many consecutive frames without a
     /// supporting detection (paper: ten consecutive images).
     pub miss_limit: u32,
-    /// Minimum detection/track IoU for association.
-    pub min_iou: f32,
 }
 
 impl Default for TrackerPoolConfig {
     fn default() -> Self {
-        Self { capacity: 32, miss_limit: 10, min_iou: 0.25 }
+        Self { capacity: 32, miss_limit: 10 }
     }
 }
+
+/// Minimum detection/track IoU for association.
+const MIN_IOU: f32 = 0.25;
 
 /// Factory building a tracker anchored on a detection.
 type TrackerFactory = Box<dyn FnMut(&GrayImage, BBox) -> Box<dyn Tracker> + Send>;
@@ -224,11 +225,11 @@ impl TrackerPool {
                 let iou = d.bbox.iou(&obj.bbox);
                 let dist = d.bbox.center_distance(&obj.bbox);
                 let limit = d.bbox.w.max(d.bbox.h);
-                let score = if iou >= self.cfg.min_iou {
+                let score = if iou >= MIN_IOU {
                     iou
                 } else if dist <= limit {
                     // Ranks below every true IoU match, above zero.
-                    0.5 * self.cfg.min_iou * (1.0 - dist / limit)
+                    0.5 * MIN_IOU * (1.0 - dist / limit)
                 } else {
                     continue;
                 };
@@ -379,7 +380,7 @@ mod tests {
 
     #[test]
     fn freed_capacity_is_reused() {
-        let mut p = pool(TrackerPoolConfig { capacity: 1, miss_limit: 1, ..Default::default() });
+        let mut p = pool(TrackerPoolConfig { capacity: 1, miss_limit: 1 });
         p.step(&frame(), &[det(0.2, 0.2, ObjectClass::Vehicle)]);
         // Expire it, then a new object claims the slot.
         p.step(&frame(), &[]);

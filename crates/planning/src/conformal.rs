@@ -83,35 +83,18 @@ pub struct RoadObstacle {
     pub radius: f64,
 }
 
-/// Conformal-lattice parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConformalConfig {
-    /// Candidate lateral offsets (lane positions), in meters.
-    pub lateral_offsets: [f64; 5],
-    /// Planning horizon (s).
-    pub horizon_s: f64,
-    /// Time sample step (s).
-    pub dt_s: f64,
-    /// Weight of lateral deviation in the cost.
-    pub lateral_weight: f64,
-    /// Weight of lateral change (comfort) in the cost.
-    pub swerve_weight: f64,
-}
-
-impl Default for ConformalConfig {
-    fn default() -> Self {
-        Self {
-            lateral_offsets: [-3.5, -1.75, 0.0, 1.75, 3.5],
-            horizon_s: 4.0,
-            dt_s: 0.5,
-            // Deviating from the lane center costs more than the
-            // transient of changing lanes, so the planner returns to
-            // center once the road is clear.
-            lateral_weight: 2.0,
-            swerve_weight: 1.0,
-        }
-    }
-}
+/// Candidate lateral offsets (lane positions), in meters.
+const LATERAL_OFFSETS: [f64; 5] = [-3.5, -1.75, 0.0, 1.75, 3.5];
+/// Planning horizon (s).
+const HORIZON_S: f64 = 4.0;
+/// Time sample step (s).
+const DT_S: f64 = 0.5;
+/// Weight of lateral deviation in the cost. Deviating from the lane
+/// center costs more than the transient of changing lanes, so the
+/// planner returns to center once the road is clear.
+const LATERAL_WEIGHT: f64 = 2.0;
+/// Weight of lateral change (comfort) in the cost.
+const SWERVE_WEIGHT: f64 = 1.0;
 
 /// A selected trajectory: where the vehicle will be at each time step.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,17 +116,10 @@ pub struct Trajectory {
 }
 
 /// The conformal spatio-temporal lattice planner.
-#[derive(Debug, Clone, Default)]
-pub struct ConformalPlanner {
-    cfg: ConformalConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConformalPlanner;
 
 impl ConformalPlanner {
-    /// Creates a planner.
-    pub fn new(cfg: ConformalConfig) -> Self {
-        Self { cfg }
-    }
-
     /// Plans along `road` from `(station, lateral)` at `speed_mps`,
     /// avoiding moving `obstacles`. Returns `None` only when every
     /// candidate collides (the caller should then brake).
@@ -177,14 +153,13 @@ impl ConformalPlanner {
         speed_mps: f64,
         obstacles: &[RoadObstacle],
     ) -> Option<Trajectory> {
-        let cfg = &self.cfg;
-        let steps = (cfg.horizon_s / cfg.dt_s).round() as usize;
-        let candidates = cfg.lateral_offsets.len();
+        let steps = (HORIZON_S / DT_S).round() as usize;
+        let candidates = LATERAL_OFFSETS.len();
         // Rough per-candidate op count: the collision sweep dominates.
         let work = candidates * steps * SUBSTEPS * (60 + 40 * obstacles.len());
         let mut slots: Vec<Option<(f64, f64, Vec<Pose2>)>> = vec![None; candidates];
         rt.for_work(work).par_chunks_mut(&mut slots, 1, |i, slot| {
-            let target = cfg.lateral_offsets[i];
+            let target = LATERAL_OFFSETS[i];
             slot[0] = self.eval_candidate(road, station, lateral, speed_mps, obstacles, target);
         });
         // Serial index-order reduction, strict `<`: first minimum wins.
@@ -198,7 +173,7 @@ impl ConformalPlanner {
             poses,
             target_lateral,
             speed_mps,
-            dt_s: cfg.dt_s,
+            dt_s: DT_S,
             cost,
             candidates,
         })
@@ -215,17 +190,15 @@ impl ConformalPlanner {
         obstacles: &[RoadObstacle],
         target: f64,
     ) -> Option<(f64, f64, Vec<Pose2>)> {
-        let cfg = &self.cfg;
-        let steps = (cfg.horizon_s / cfg.dt_s).round() as usize;
+        let steps = (HORIZON_S / DT_S).round() as usize;
         let mut poses = Vec::with_capacity(steps);
-        let cost =
-            cfg.lateral_weight * target.abs() + cfg.swerve_weight * (target - lateral).abs();
+        let cost = LATERAL_WEIGHT * target.abs() + SWERVE_WEIGHT * (target - lateral).abs();
         // Collision is checked on a 4x finer time grid than the
         // emitted poses: relative speeds of tens of m/s would
         // otherwise step "through" an obstacle between samples.
         for k in 1..=steps {
             for sub in 1..=SUBSTEPS {
-                let t = (k - 1) as f64 * cfg.dt_s + cfg.dt_s * sub as f64 / SUBSTEPS as f64;
+                let t = (k - 1) as f64 * DT_S + DT_S * sub as f64 / SUBSTEPS as f64;
                 let s = station + speed_mps * t;
                 // Exponential convergence from the current lateral
                 // offset to the candidate lane.
@@ -278,7 +251,7 @@ mod tests {
     #[test]
     fn clear_road_keeps_center() {
         let road = Centerline::straight(500.0);
-        let planner = ConformalPlanner::default();
+        let planner = ConformalPlanner;
         let t = planner.plan(&road, 0.0, 0.0, 15.0, &[]).unwrap();
         assert_eq!(t.target_lateral, 0.0, "no reason to leave the lane center");
         assert_eq!(t.candidates, 5);
@@ -287,7 +260,7 @@ mod tests {
     #[test]
     fn blocked_lane_triggers_lane_change() {
         let road = Centerline::straight(500.0);
-        let planner = ConformalPlanner::default();
+        let planner = ConformalPlanner;
         // Stopped obstacle dead ahead in our lane.
         let obstacle =
             RoadObstacle { station: 30.0, lateral: 0.0, velocity_mps: 0.0, radius: 2.0 };
@@ -302,7 +275,7 @@ mod tests {
     #[test]
     fn moving_obstacle_ahead_at_same_speed_is_not_a_collision() {
         let road = Centerline::straight(500.0);
-        let planner = ConformalPlanner::default();
+        let planner = ConformalPlanner;
         // Lead vehicle 20 m ahead travelling at our speed.
         let lead = RoadObstacle { station: 20.0, lateral: 0.0, velocity_mps: 15.0, radius: 2.0 };
         let t = planner.plan(&road, 0.0, 0.0, 15.0, &[lead]).unwrap();
@@ -312,7 +285,7 @@ mod tests {
     #[test]
     fn fully_blocked_road_returns_none() {
         let road = Centerline::straight(500.0);
-        let planner = ConformalPlanner::default();
+        let planner = ConformalPlanner;
         let wall: Vec<RoadObstacle> = [-3.5, -1.75, 0.0, 1.75, 3.5]
             .iter()
             .map(|&l| RoadObstacle { station: 25.0, lateral: l, velocity_mps: 0.0, radius: 3.0 })
@@ -323,7 +296,7 @@ mod tests {
     #[test]
     fn returns_toward_center_after_pass() {
         let road = Centerline::straight(500.0);
-        let planner = ConformalPlanner::default();
+        let planner = ConformalPlanner;
         // Already offset left; road clear: prefer drifting back.
         let t = planner.plan(&road, 0.0, 1.75, 15.0, &[]).unwrap();
         assert_eq!(t.target_lateral, 0.0);

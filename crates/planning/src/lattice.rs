@@ -39,32 +39,14 @@ impl Obstacle {
     }
 }
 
-/// Lattice discretization parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatticeConfig {
-    /// Grid cell size (m).
-    pub cell_m: f64,
-    /// Number of discrete headings (evenly spaced).
-    pub headings: usize,
-    /// Arc length of one motion primitive (m).
-    pub step_m: f64,
-    /// Maximum nodes expanded before giving up.
-    pub max_expansions: usize,
-    /// Distance to the goal that counts as arrival (m).
-    pub goal_tolerance_m: f64,
-}
-
-impl Default for LatticeConfig {
-    fn default() -> Self {
-        Self {
-            cell_m: 1.0,
-            headings: 16,
-            step_m: 2.0,
-            max_expansions: 20_000,
-            goal_tolerance_m: 1.5,
-        }
-    }
-}
+/// Grid cell size (m).
+const CELL_M: f64 = 1.0;
+/// Number of discrete headings (evenly spaced).
+const HEADINGS: usize = 16;
+/// Arc length of one motion primitive (m).
+const STEP_M: f64 = 2.0;
+/// Distance to the goal that counts as arrival (m).
+const GOAL_TOLERANCE_M: f64 = 1.5;
 
 /// A planned path through free space.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,11 +63,18 @@ pub struct Path {
 ///
 /// States are `(x, y, heading)` quantized to the lattice; motion
 /// primitives are straight / left-arc / right-arc steps of
-/// [`LatticeConfig::step_m`] that respect the heading quantization, so
-/// every edge is kinematically drivable at bounded curvature.
-#[derive(Debug, Clone, Default)]
+/// `STEP_M` (2 m) that respect the heading quantization, so every edge
+/// is kinematically drivable at bounded curvature.
+#[derive(Debug, Clone)]
 pub struct LatticePlanner {
-    cfg: LatticeConfig,
+    /// Maximum nodes expanded before giving up.
+    max_expansions: usize,
+}
+
+impl Default for LatticePlanner {
+    fn default() -> Self {
+        Self::new(20_000)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,9 +112,10 @@ impl Ord for OpenEntry {
 }
 
 impl LatticePlanner {
-    /// Creates a planner with the given discretization.
-    pub fn new(cfg: LatticeConfig) -> Self {
-        Self { cfg }
+    /// Creates a planner that gives up after `max_expansions` node
+    /// expansions.
+    pub fn new(max_expansions: usize) -> Self {
+        Self { max_expansions }
     }
 
     /// Plans from `start` to within the goal tolerance of `goal`,
@@ -148,7 +138,6 @@ impl LatticePlanner {
         goal: Point2,
         obstacles: &[Obstacle],
     ) -> Option<Path> {
-        let cfg = &self.cfg;
         if self.hits_obstacle(start.translation(), obstacles) {
             return None;
         }
@@ -192,12 +181,12 @@ impl LatticePlanner {
             // Goal test at pop time, first in heap order — as in the
             // serial formulation.
             for &(key, pose, g) in &batch {
-                if pose.translation().distance(&goal) <= cfg.goal_tolerance_m {
+                if pose.translation().distance(&goal) <= GOAL_TOLERANCE_M {
                     return Some(self.reconstruct(key, &parent, &poses, g, expansions));
                 }
             }
             expansions += batch.len();
-            if expansions > cfg.max_expansions {
+            if expansions > self.max_expansions {
                 return None;
             }
             // Parallel phase: successor generation and collision
@@ -226,7 +215,7 @@ impl LatticePlanner {
             for (i, &(key, _, g)) in batch.iter().enumerate() {
                 for next in slots[i].into_iter().flatten() {
                     let nk = self.key_of(&next);
-                    let ng = g + cfg.step_m;
+                    let ng = g + STEP_M;
                     if best_g.get(&nk).is_none_or(|&old| ng < old) {
                         best_g.insert(nk, ng);
                         poses.insert(nk, next);
@@ -245,8 +234,8 @@ impl LatticePlanner {
     /// The three motion primitives from a pose: straight, arc-left and
     /// arc-right by one heading increment.
     fn successors(&self, pose: &Pose2) -> [Pose2; 3] {
-        let dtheta = 2.0 * std::f64::consts::PI / self.cfg.headings as f64;
-        let step = self.cfg.step_m;
+        let dtheta = 2.0 * std::f64::consts::PI / HEADINGS as f64;
+        let step = STEP_M;
         let go = |turn: f64| {
             let theta = normalize_angle(pose.theta + turn);
             // Advance along the average heading for arc-like motion.
@@ -259,11 +248,11 @@ impl LatticePlanner {
     fn key_of(&self, pose: &Pose2) -> NodeKey {
         let h = (normalize_angle(pose.theta) + std::f64::consts::PI)
             / (2.0 * std::f64::consts::PI)
-            * self.cfg.headings as f64;
+            * HEADINGS as f64;
         NodeKey {
-            gx: (pose.x / self.cfg.cell_m).round() as i64,
-            gy: (pose.y / self.cfg.cell_m).round() as i64,
-            heading: (h.round() as usize) % self.cfg.headings,
+            gx: (pose.x / CELL_M).round() as i64,
+            gy: (pose.y / CELL_M).round() as i64,
+            heading: (h.round() as usize) % HEADINGS,
         }
     }
 
@@ -335,7 +324,7 @@ mod tests {
 
     #[test]
     fn enclosed_goal_is_unreachable() {
-        let p = LatticePlanner::new(LatticeConfig { max_expansions: 5_000, ..Default::default() });
+        let p = LatticePlanner::new(5_000);
         let goal = Point2::new(15.0, 0.0);
         // Ring of obstacles around the goal.
         let obstacles: Vec<Obstacle> = (0..24)

@@ -36,8 +36,8 @@ mod mission;
 mod motion;
 
 pub use acc::{AdaptiveCruise, IdmParams};
-pub use conformal::{Centerline, ConformalConfig, ConformalPlanner, RoadObstacle, Trajectory};
+pub use conformal::{Centerline, ConformalPlanner, RoadObstacle, Trajectory};
 pub use fusion::{FusedFrame, FusedObject, FusionEngine, TrackedLike};
-pub use lattice::{LatticeConfig, LatticePlanner, Obstacle, Path};
+pub use lattice::{LatticePlanner, Obstacle, Path};
 pub use mission::{MissionPlanner, RoadEdge, RoadGraph, Route};
 pub use motion::{Environment, MotionPlan, MotionPlanner};

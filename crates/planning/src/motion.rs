@@ -71,7 +71,7 @@ impl MotionPlanner {
     pub fn new(environment: Environment, cruise_mps: f64) -> Self {
         Self {
             environment,
-            conformal: ConformalPlanner::default(),
+            conformal: ConformalPlanner,
             lattice: LatticePlanner::default(),
             acc: AdaptiveCruise::new(IdmParams::cruise(cruise_mps)),
             cruise_mps,

@@ -11,8 +11,7 @@
 
 use adsim_dnn::detection::{BBox, ObjectClass};
 use adsim_planning::{
-    Centerline, ConformalPlanner, FusionEngine, LatticeConfig, LatticePlanner, Obstacle,
-    RoadObstacle,
+    Centerline, ConformalPlanner, FusionEngine, LatticePlanner, Obstacle, RoadObstacle,
 };
 use adsim_runtime::Runtime;
 use adsim_vision::{OrthoCamera, Point2, Pose2};
@@ -78,7 +77,7 @@ fn fusion_is_bit_identical_across_thread_counts() {
 #[test]
 fn conformal_planner_is_bit_identical_across_thread_counts() {
     let road = Centerline::straight(500.0);
-    let planner = ConformalPlanner::default();
+    let planner = ConformalPlanner;
     // Enough obstacles that the estimated work clears the threshold
     // and candidate costs genuinely differ between lanes.
     let obstacles: Vec<RoadObstacle> = (0..12)
@@ -165,8 +164,7 @@ fn lattice_planner_is_bit_identical_across_thread_counts() {
 fn lattice_infeasibility_is_thread_count_invariant() {
     // A goal sealed inside a ring: every thread count must burn the
     // same expansion budget and agree the goal is unreachable.
-    let planner =
-        LatticePlanner::new(LatticeConfig { max_expansions: 4_000, ..Default::default() });
+    let planner = LatticePlanner::new(4_000);
     let goal = Point2::new(18.0, 0.0);
     let ring: Vec<Obstacle> = (0..28)
         .map(|i| {
@@ -187,7 +185,7 @@ fn conformal_ties_keep_the_lowest_lattice_index() {
     // (which is the centered lane here — strictly cheapest — so probe
     // determinism by re-running on every thread count).
     let road = Centerline::straight(200.0);
-    let planner = ConformalPlanner::default();
+    let planner = ConformalPlanner;
     let reference = planner.plan(&road, 0.0, 0.0, 10.0, &[]).expect("clear road");
     for threads in THREADS {
         let got = planner

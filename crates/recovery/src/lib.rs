@@ -6,14 +6,14 @@
 //! vehicle down with it. This crate supplies the *process-restart*
 //! model over the in-memory pipeline:
 //!
-//! * a [`PipelineCheckpoint`] snapshots every piece of mutable
-//!   per-frame state — tracker pool, localizer pose + SLAM map
-//!   overlay, fusion history, planner, degradation state machine,
-//!   governor forecaster, fault-injector schedule position — at frame
-//!   boundaries;
 //! * a [`RecoveryCoordinator`] decides when to checkpoint (every
-//!   `checkpoint_interval` frames), remembers the newest checkpoint,
-//!   and converts each caught crash into a [`CrashAction`]: restore
+//!   `checkpoint_interval` frames), remembers the newest checkpoint
+//!   (the fleet cell's snapshot around `adsim_core::SupervisorCheckpoint`,
+//!   which holds every piece of mutable per-frame state: tracker pool,
+//!   localizer pose + SLAM map overlay, fusion history, planner,
+//!   degradation state machine, governor forecaster, fault-injector
+//!   schedule position), and converts each caught crash into a
+//!   [`CrashAction`]: restore
 //!   and replay while the restart budget lasts, park the vehicle
 //!   (SafeStop) once it is exhausted;
 //! * [`describe_panic`] renders a caught panic payload — typed
@@ -210,46 +210,6 @@ impl<C> RecoveryCoordinator<C> {
     /// The contained-crash ledger, in crash order.
     pub fn log(&self) -> &[CrashRecord] {
         &self.log
-    }
-
-    /// Renders the ledger for the cell outcome (one line per crash).
-    pub fn render_log(&self) -> Vec<String> {
-        self.log.iter().map(|r| r.to_string()).collect()
-    }
-}
-
-/// A supervisor checkpoint paired with its frame position — the unit
-/// the [`RecoveryCoordinator`] stores for a plain (non-fleet) pipeline.
-///
-/// The fleet layer wraps more (latency histograms, output digest, MOT
-/// accumulator) around the supervisor checkpoint in its own cell
-/// checkpoint; this type is the single-vehicle equivalent.
-#[derive(Debug, Clone)]
-pub struct PipelineCheckpoint {
-    frames_done: u64,
-    supervisor: adsim_core::SupervisorCheckpoint,
-}
-
-impl PipelineCheckpoint {
-    /// Snapshots `sup` after `frames_done` frames have settled.
-    pub fn capture(sup: &adsim_core::Supervisor, frames_done: u64) -> Self {
-        Self { frames_done, supervisor: sup.checkpoint() }
-    }
-
-    /// Rewinds `sup` to this checkpoint.
-    pub fn restore_into(&self, sup: &mut adsim_core::Supervisor) {
-        sup.restore(&self.supervisor);
-    }
-
-    /// Frames settled when the checkpoint was taken — the frame index
-    /// execution resumes from.
-    pub fn frames_done(&self) -> u64 {
-        self.frames_done
-    }
-
-    /// Rough in-memory footprint (bytes), deterministic.
-    pub fn approx_bytes(&self) -> usize {
-        self.supervisor.approx_bytes()
     }
 }
 

@@ -4,42 +4,34 @@ use crate::solve::{estimate_pose_with, Correspondence};
 use adsim_runtime::Runtime;
 use adsim_vision::{match_descriptors, Feature, GrayImage, OrbExtractor, OrthoCamera, Pose2};
 
+/// Map-query radius (m) beyond the camera footprint while tracking.
+const SEARCH_RADIUS: f64 = 20.0;
+/// Widened map-query radius (m) used by relocalization — the "wider
+/// search in the map around the location identified last time" of
+/// §3.1.3.
+const RELOC_RADIUS: f64 = 150.0;
+/// Maximum descriptor Hamming distance for a match.
+const MAX_MATCH_DISTANCE: u32 = 64;
+/// Lowe ratio-test threshold.
+const MATCH_RATIO: f32 = 0.85;
+/// Minimum pose-solve inliers to accept tracking.
+const MIN_INLIERS: usize = 6;
+/// Cap on landmarks added per frame by map update.
+const MAX_MAP_ADDITIONS: usize = 10;
+
 /// Tuning parameters of the [`Localizer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalizerConfig {
-    /// Map-query radius (m) beyond the camera footprint while tracking.
-    pub search_radius: f64,
-    /// Widened map-query radius (m) used by relocalization — the
-    /// "wider search in the map around the location identified last
-    /// time" of §3.1.3.
-    pub reloc_radius: f64,
-    /// Maximum descriptor Hamming distance for a match.
-    pub max_match_distance: u32,
-    /// Lowe ratio-test threshold.
-    pub match_ratio: f32,
-    /// Minimum pose-solve inliers to accept tracking.
-    pub min_inliers: usize,
     /// Run loop closing every this many frames (paper: "executed
     /// periodically").
     pub loop_close_interval: u64,
     /// Whether unmatched features are added to the map (map update).
     pub map_update: bool,
-    /// Cap on landmarks added per frame by map update.
-    pub max_map_additions: usize,
 }
 
 impl Default for LocalizerConfig {
     fn default() -> Self {
-        Self {
-            search_radius: 20.0,
-            reloc_radius: 150.0,
-            max_match_distance: 64,
-            match_ratio: 0.85,
-            min_inliers: 6,
-            loop_close_interval: 100,
-            map_update: true,
-            max_map_additions: 10,
-        }
+        Self { loop_close_interval: 100, map_update: true }
     }
 }
 
@@ -205,7 +197,7 @@ impl Localizer {
         let predicted = self.motion.predict();
 
         // Tracking: narrow search around the motion-model prediction.
-        let narrow = self.camera.view_radius() + self.cfg.search_radius;
+        let narrow = self.camera.view_radius() + SEARCH_RADIUS;
         let tracked = {
             let _sp = adsim_trace::span("loc.track");
             self.attempt(&features, predicted, narrow, &mut cost)
@@ -219,7 +211,7 @@ impl Localizer {
                 cost.relocalized = true;
                 self.stats.relocalizations += 1;
                 let _sp = adsim_trace::span("loc.reloc");
-                let wide = self.camera.view_radius() + self.cfg.reloc_radius;
+                let wide = self.camera.view_radius() + RELOC_RADIUS;
                 match self.attempt(&features, predicted, wide, &mut cost) {
                     Some(pose) => (Some(pose), LocalizeOutcome::Relocalized),
                     None => (None, LocalizeOutcome::Lost),
@@ -241,7 +233,7 @@ impl Localizer {
                 cost.loop_closed = true;
                 self.stats.loop_closures += 1;
                 let _sp = adsim_trace::span("loc.loop_close");
-                let radius = self.camera.view_radius() + 2.0 * self.cfg.search_radius;
+                let radius = self.camera.view_radius() + 2.0 * SEARCH_RADIUS;
                 let _ = self.attempt(&features, pose, radius, &mut cost);
             }
         } else {
@@ -275,13 +267,13 @@ impl Localizer {
         if candidates.is_empty() {
             return None;
         }
-        let guided = radius <= self.camera.view_radius() + self.cfg.search_radius + 1e-9;
+        let guided = radius <= self.camera.view_radius() + SEARCH_RADIUS + 1e-9;
         let corrs: Vec<Correspondence> = if guided {
             self.match_guided(features, &around, &candidates, cost)
         } else {
             self.match_global(features, &candidates, cost)
         };
-        let est = estimate_pose_with(&self.runtime, &corrs, self.cfg.min_inliers)?;
+        let est = estimate_pose_with(&self.runtime, &corrs, MIN_INLIERS)?;
         // Reject solves that disagree wildly with where we searched —
         // a pathological association, not a pose.
         if est.pose.translation().distance(&around.translation()) > radius {
@@ -335,10 +327,10 @@ impl Localizer {
                     }
                 }
             }
-            if best.1 > self.cfg.max_match_distance {
+            if best.1 > MAX_MATCH_DISTANCE {
                 continue;
             }
-            if second != u32::MAX && best.1 as f32 > self.cfg.match_ratio * second as f32 {
+            if second != u32::MAX && best.1 as f32 > MATCH_RATIO * second as f32 {
                 continue;
             }
             cost.matches += 1;
@@ -360,12 +352,7 @@ impl Localizer {
     ) -> Vec<Correspondence> {
         let query: Vec<_> = features.iter().map(|f| f.descriptor).collect();
         let train: Vec<_> = candidates.iter().map(|l| l.descriptor).collect();
-        let matches = match_descriptors(
-            &query,
-            &train,
-            self.cfg.max_match_distance,
-            self.cfg.match_ratio,
-        );
+        let matches = match_descriptors(&query, &train, MAX_MATCH_DISTANCE, MATCH_RATIO);
         cost.matches += matches.len();
         matches
             .iter()
@@ -383,7 +370,7 @@ impl Localizer {
     fn update_map(&mut self, features: &[Feature], pose: &Pose2, cost: &mut LocCost) {
         let mut added = 0;
         for f in features {
-            if added >= self.cfg.max_map_additions {
+            if added >= MAX_MAP_ADDITIONS {
                 break;
             }
             let world = self.camera.image_to_world(
@@ -393,7 +380,7 @@ impl Localizer {
             );
             // Skip if a similar landmark already exists nearby.
             let exists = self.map.near(world, 1.0).iter().any(|lm| {
-                lm.descriptor.hamming(&f.descriptor) <= self.cfg.max_match_distance
+                lm.descriptor.hamming(&f.descriptor) <= MAX_MATCH_DISTANCE
             });
             if !exists {
                 self.map.insert_new(world, f.descriptor);
@@ -628,7 +615,7 @@ mod tests {
             map,
             cam,
             orb(),
-            LocalizerConfig { loop_close_interval: 3, map_update: false, ..Default::default() },
+            LocalizerConfig { loop_close_interval: 3, map_update: false },
         );
         loc.seed_pose(Pose2::new(0.0, 0.0, 0.0));
         let mut closed = 0;

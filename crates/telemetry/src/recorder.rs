@@ -136,10 +136,15 @@ pub fn observe_ms(metric: &'static str, stage: &'static str, ms: f64) {
     with_shard(|reg, vehicle| reg.observe_ms(metric, vehicle, stage, ms));
 }
 
-/// Merges the calling thread's shard into the global sink. Pool tasks
-/// call this before their scope joins — `thread::scope` unblocks before
-/// TLS destructors run, so without it a worker's shard could merge
-/// after the session already finished.
+/// Merges the calling thread's shard into the global sink. The fleet
+/// engine's `run_batched` and `run_cell` call this to open their shard
+/// brackets: it pushes a previous occupant's series out before they
+/// drain their own. Pool workers do not call it, because pipeline
+/// telemetry is recorded on the calling thread by convention (see
+/// `NativePipeline`'s frame step). A scoped worker that did record
+/// would have to call it before its closure returns: `thread::scope`
+/// unblocks before TLS destructors run, so its shard could otherwise
+/// merge after the session already finished.
 pub fn flush_thread() {
     let _ = LOCAL.try_with(|l| l.borrow_mut().merge_into_sink());
 }

@@ -273,11 +273,6 @@ impl Trace {
         self.hists.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
     }
 
-    /// All span names with recorded histograms, in first-merged order.
-    pub fn span_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.hists.iter().map(|(n, _)| *n)
-    }
-
     /// Number of completed spans with the given name.
     pub fn span_count(&self, name: &str) -> u64 {
         self.histogram(name).map_or(0, |h| h.count())
@@ -437,10 +432,14 @@ mod tests {
     fn worker_thread_buffers_merge_at_exit() {
         let session = TraceSession::begin();
         std::thread::scope(|s| {
-            for w in 0..4usize {
-                s.spawn(move || {
-                    let _sp = span_at("test.worker", w);
-                });
+            let workers: Vec<_> = (0..4usize)
+                .map(|w| s.spawn(move || drop(span_at("test.worker", w))))
+                .collect();
+            // An explicit join waits for the thread to exit, TLS
+            // destructors (the drop-merge under test) included; the
+            // scope's implicit wait only waits for the closures.
+            for h in workers {
+                h.join().expect("worker thread");
             }
         });
         let t = session.finish();

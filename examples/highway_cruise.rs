@@ -13,7 +13,7 @@ use adsim::vision::{Point2, Pose2};
 
 fn main() {
     let road = Centerline::straight(2_000.0);
-    let planner = ConformalPlanner::default();
+    let planner = ConformalPlanner;
     let mut controller = VehicleController::new();
 
     // Ego starts at 28 m/s; a lead vehicle 60 m ahead drives 18 m/s in

@@ -29,7 +29,7 @@ fn specs() -> Vec<CellSpec> {
     vec![
         CellSpec::new("clean", FaultConfig::off(), 0x5EED1, FRAMES),
         CellSpec::new("data", data.clone(), 0x5EED2, FRAMES),
-        CellSpec::new("voting", data, 0x5EED2, FRAMES).with_guard(GuardConfig::voting()),
+        CellSpec::new("voting", data, 0x5EED2, FRAMES).with_guard(GuardConfig::Voting),
         CellSpec::new("stress", FaultConfig::stress(), 0x5EED3, FRAMES),
     ]
 }

@@ -52,7 +52,7 @@ fn armed_guard_is_bit_identical_to_bare_pipeline_on_clean_runs() {
         FaultConfig::off(),
         // Voting is the most invasive guard config; on clean frames the
         // digests match so the second execution never even runs.
-        GuardConfig::voting(),
+        GuardConfig::Voting,
     );
     for frame in scenario.stream(RES).take(8) {
         let a = bare.process(&frame.image, frame.time_s);

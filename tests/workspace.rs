@@ -3,7 +3,9 @@
 //! that list it silently tests only the root package — a tenth of the
 //! suite, none of the SIMD-vs-scalar differentials included. The
 //! manifests also declare no cargo feature beyond the one tier-1 runs,
-//! so no test hides behind a feature nobody turns on.
+//! so no test hides behind a feature nobody turns on. The count of
+//! panic sites in library code is pinned, so any change to it shows in
+//! the diff.
 
 use std::path::{Path, PathBuf};
 
@@ -59,6 +61,45 @@ fn default_members_cover_the_root_and_every_crate() {
         );
     }
     assert!(!crates.is_empty(), "no crates found under crates/");
+}
+
+/// `.unwrap()` and `.expect(` sites in the non-test text of
+/// `crates/*/src/**/*.rs`: each file's text before its first
+/// `#[cfg(test)]`. The count may only move with this constant, so
+/// every added or removed panic site shows in review.
+const PANIC_SITES: usize = 108;
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn panic_site_ledger_matches_the_committed_count() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in crate_dirs(root) {
+        rust_files(&dir.join("src"), &mut files);
+    }
+    let count: usize = files
+        .iter()
+        .map(|file| {
+            let text = std::fs::read_to_string(file).expect("readable source file");
+            let non_test = text.find("#[cfg(test)]").map_or(&text[..], |end| &text[..end]);
+            non_test.matches(".unwrap()").count() + non_test.matches(".expect(").count()
+        })
+        .sum();
+    assert_eq!(
+        count, PANIC_SITES,
+        "crates/*/src now has {count} non-test .unwrap()/.expect( sites; set PANIC_SITES to {count}"
+    );
 }
 
 /// Every feature is a build configuration tier-1 must run. The one
