@@ -3,7 +3,7 @@
 //!
 //! The paper's Fig. 13 shows detector latency and accuracy trading off
 //! along the input-resolution axis at *build* time; the anytime
-//! governor (`adsim-anytime`) navigates the same frontier at *run*
+//! governor (`adsim_core::anytime`) navigates the same frontier at *run*
 //! time. This bench drives a fleet campaign over a drift-severity ×
 //! governor-policy grid and reports, per drift mix:
 //!
@@ -35,9 +35,10 @@
 
 use adsim_bench::json::{self, fixed, obj, Value};
 use adsim_bench::{parity_json, Mode};
+use adsim_core::anytime::AnytimeConfig;
 use adsim_core::{
-    AnytimeConfig, DegradationCause, DegradationEventKind, DegradedMode, ModeledPipeline,
-    ModeledSupervisor, NativePipelineConfig, PlatformConfig, SupervisorConfig,
+    DegradationCause, DegradationEventKind, DegradedMode, ModeledPipeline, ModeledSupervisor,
+    NativePipelineConfig, PlatformConfig, SupervisorConfig,
 };
 use adsim_faults::{FaultConfig, FaultInjector};
 use adsim_fleet::{CampaignResult, CellSpec, FleetAssets, FleetConfig, FleetEngine};

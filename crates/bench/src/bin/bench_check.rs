@@ -9,9 +9,10 @@
 //! * `--all` — parse and schema-check every `BENCH_*.json` at the root
 //!   and in `target/bench/`, and exact-compare each fresh artifact with
 //!   the committed one of the same `bench` id and `"mode"`, whatever
-//!   its file name. A fresh artifact with no such baseline fails. This
-//!   is the tier-1 wiring: a parse failure means a writer regressed, a
-//!   diff means a contract drifted.
+//!   its file name. No fresh artifact at all fails, and so does a
+//!   fresh artifact with no such baseline. This is the tier-1 wiring: a
+//!   parse failure means a writer regressed, a diff means a contract
+//!   drifted.
 //! * `<baseline> <fresh>` — exact comparison of two artifacts;
 //!   cross-mode comparisons (smoke vs full) are refused.
 //!
@@ -21,7 +22,7 @@
 //!     BENCH_soak.json target/bench/BENCH_soak.json
 //! ```
 
-use adsim_bench::check::{compare, same_run, validate, Diff};
+use adsim_bench::check::{compare, pair_baselines, validate, Diff};
 use adsim_bench::json::{parse, Value};
 use adsim_bench::ARTIFACT_DIR;
 use std::path::{Path, PathBuf};
@@ -67,38 +68,43 @@ fn report(diffs: &[Diff], against: &Path) {
 }
 
 fn check_all() {
-    let committed: Vec<(PathBuf, Value)> = artifacts(Path::new("."))
+    let (committed_paths, committed): (Vec<PathBuf>, Vec<Value>) = artifacts(Path::new("."))
         .into_iter()
         .map(|path| {
             let (doc, bench) = load_valid(&path);
             println!("  {}: ok ({bench})", path.display());
             (path, doc)
         })
-        .collect();
-    let fresh = artifacts(Path::new(ARTIFACT_DIR));
-    assert!(
-        !committed.is_empty() || !fresh.is_empty(),
-        "bench_check --all: no BENCH_*.json artifacts found"
-    );
+        .unzip();
+    let (fresh_paths, fresh): (Vec<PathBuf>, Vec<Value>) = artifacts(Path::new(ARTIFACT_DIR))
+        .into_iter()
+        .map(|path| {
+            let (doc, _) = load_valid(&path);
+            (path, doc)
+        })
+        .unzip();
+    let pairs = pair_baselines(&committed, &fresh).unwrap_or_else(|e| {
+        eprintln!("bench_check --all: {e}");
+        std::process::exit(1);
+    });
     let mut failed = false;
-    for path in &fresh {
-        let (doc, bench) = load_valid(path);
-        let mode = doc.get("mode").and_then(Value::as_str).unwrap_or("no mode");
-        let Some((baseline, committed_doc)) = committed.iter().find(|(_, c)| same_run(c, &doc))
-        else {
-            println!("  {}: {bench} {mode}, NO committed {mode} baseline", path.display());
-            failed = true;
-            continue;
-        };
-        let diffs = compare(committed_doc, &doc);
+    for ((path, doc), baseline) in fresh_paths.iter().zip(&fresh).zip(pairs) {
+        let diffs = compare(&committed[baseline], doc);
         let verdict = if diffs.is_empty() {
             "matches committed exactly"
         } else {
-            report(&diffs, baseline);
+            report(&diffs, &committed_paths[baseline]);
             failed = true;
             "DIVERGED from committed"
         };
-        println!("  {}: {bench} {mode}, {verdict} ({})", path.display(), baseline.display());
+        let field = |key| doc.get(key).and_then(Value::as_str).unwrap_or("?");
+        println!(
+            "  {}: {} {}, {verdict} ({})",
+            path.display(),
+            field("bench"),
+            field("mode"),
+            committed_paths[baseline].display()
+        );
     }
     if failed {
         std::process::exit(1);

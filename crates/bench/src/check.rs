@@ -6,10 +6,11 @@
 //! baseline exactly, leaf for leaf. Each mode has its own baseline: a
 //! smoke run covers a smaller grid than a full one, so a fresh artifact
 //! is paired with the committed artifact of the same `bench` id and
-//! `"mode"` ([`same_run`]), and artifacts of different modes are never
+//! `"mode"` ([`pair_baselines`]), and artifacts of different modes are never
 //! diffed.
 
 use crate::json::Value;
+use crate::ARTIFACT_DIR;
 
 /// One divergence between baseline and fresh documents.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +55,37 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Vec<Diff> {
 /// The `bench_check --all` pairing rule: a committed artifact is the
 /// baseline of a fresh one when both carry the same `bench` id and
 /// `"mode"`, whatever their file names.
-pub fn same_run(committed: &Value, fresh: &Value) -> bool {
+fn same_run(committed: &Value, fresh: &Value) -> bool {
     committed.get("bench") == fresh.get("bench") && committed.get("mode") == fresh.get("mode")
+}
+
+/// Pairs every fresh artifact with its committed baseline under
+/// `same_run`: element `i` is the index in `committed` of the
+/// baseline of `fresh[i]`. Fails closed, since either gap would let a
+/// broken bench pass: an empty `fresh` means no bench wrote its
+/// artifact, and a fresh artifact without a baseline has nothing to be
+/// checked against.
+pub fn pair_baselines(committed: &[Value], fresh: &[Value]) -> Result<Vec<usize>, String> {
+    if fresh.is_empty() {
+        return Err(format!("no fresh BENCH_*.json in {ARTIFACT_DIR}/: run the benches first"));
+    }
+    let mut orphans = Vec::new();
+    let pairs = fresh
+        .iter()
+        .filter_map(|doc| {
+            let baseline = committed.iter().position(|c| same_run(c, doc));
+            if baseline.is_none() {
+                let field = |key| doc.get(key).and_then(Value::as_str).unwrap_or("?");
+                orphans.push(format!("{} {}", field("bench"), field("mode")));
+            }
+            baseline
+        })
+        .collect();
+    if orphans.is_empty() {
+        Ok(pairs)
+    } else {
+        Err(format!("no committed baseline for fresh {}", orphans.join(", ")))
+    }
 }
 
 /// Checks one parsed artifact's schema: the `bench` id plus the
@@ -151,6 +181,26 @@ mod tests {
             Value::Arr(a) => Value::Arr(a.iter().map(|v| bump(v, key)).collect()),
             _ => base.clone(),
         }
+    }
+
+    #[test]
+    fn pairing_fails_when_no_fresh_artifact_was_written() {
+        let committed = [parse(r#"{"bench": "soak", "mode": "smoke"}"#).unwrap()];
+        let err = pair_baselines(&committed, &[]).unwrap_err();
+        assert!(err.contains("no fresh BENCH_*.json"), "{err}");
+    }
+
+    #[test]
+    fn pairing_fails_on_a_fresh_artifact_without_a_baseline() {
+        let committed = [
+            parse(r#"{"bench": "soak", "mode": "full"}"#).unwrap(),
+            parse(r#"{"bench": "soak", "mode": "smoke"}"#).unwrap(),
+        ];
+        let smoke = parse(r#"{"bench": "soak", "mode": "smoke"}"#).unwrap();
+        assert_eq!(pair_baselines(&committed, std::slice::from_ref(&smoke)), Ok(vec![1]));
+        let orphan = parse(r#"{"bench": "fleet", "mode": "smoke"}"#).unwrap();
+        let err = pair_baselines(&committed, &[smoke, orphan]).unwrap_err();
+        assert!(err.contains("fleet smoke"), "{err}");
     }
 
     #[test]

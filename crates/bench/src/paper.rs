@@ -85,17 +85,6 @@ pub fn fig7_dominant_fraction(c: Component) -> f64 {
     }
 }
 
-/// Abstract — end-to-end tail-latency reduction factors vs the CPU
-/// baseline.
-pub fn tail_reduction_factor(p: Platform) -> f64 {
-    match p {
-        Platform::Cpu => 1.0,
-        Platform::Gpu => 169.0,
-        Platform::Fpga => 10.0,
-        Platform::Asic => 93.0,
-    }
-}
-
 /// §5.2 — the CPU baseline's end-to-end tail and the best accelerated
 /// design's tail.
 pub const E2E_CPU_TAIL_MS: f64 = 9_100.0;
@@ -117,6 +106,17 @@ pub const FIG12_SPECIALIZED_CEILING: f64 = 0.05;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Abstract — end-to-end tail-latency reduction factors vs the CPU
+    /// baseline.
+    fn tail_reduction_factor(p: Platform) -> f64 {
+        match p {
+            Platform::Cpu => 1.0,
+            Platform::Gpu => 169.0,
+            Platform::Fpga => 10.0,
+            Platform::Asic => 93.0,
+        }
+    }
 
     #[test]
     fn fig10_tables_are_complete_for_bottlenecks() {

@@ -25,7 +25,7 @@ impl PlatformConfig {
     }
 
     /// The platform assigned to a component.
-    pub fn platform_for(&self, c: Component) -> Platform {
+    pub(crate) fn platform_for(&self, c: Component) -> Platform {
         match c {
             Component::Detection => self.detection,
             Component::Tracking => self.tracking,

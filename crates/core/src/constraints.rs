@@ -115,11 +115,6 @@ impl ConstraintReport {
     pub fn all_passed(&self) -> bool {
         self.checks.iter().all(|c| c.passed)
     }
-
-    /// The failed checks.
-    pub fn failures(&self) -> Vec<&ConstraintCheck> {
-        self.checks.iter().filter(|c| !c.passed).collect()
-    }
 }
 
 impl std::fmt::Display for ConstraintReport {
@@ -138,6 +133,10 @@ mod tests {
 
     fn summary(mean: f64, tail: f64) -> LatencySummary {
         LatencySummary { count: 1000, mean, p50: mean, p95: mean, p99: mean, p99_9: tail, p99_99: tail, max: tail }
+    }
+
+    fn failures(report: &ConstraintReport) -> Vec<&ConstraintCheck> {
+        report.checks.iter().filter(|c| !c.passed).collect()
     }
 
     #[test]
@@ -159,7 +158,7 @@ mod tests {
             &SystemPower::new(8, 51.2 + 106.9 + 53.8, 41_000_000_000_000),
         );
         assert!(!report.all_passed());
-        let names: Vec<_> = report.failures().iter().map(|c| c.name).collect();
+        let names: Vec<_> = failures(&report).iter().map(|c| c.name).collect();
         assert!(names.contains(&"performance: tail latency"));
         assert!(names.contains(&"performance: frame rate"));
     }
@@ -172,7 +171,7 @@ mod tests {
             &SystemPower::new(8, 162.0, 41_000_000_000_000),
         );
         assert!(!report.all_passed());
-        let failures = report.failures();
+        let failures = failures(&report);
         assert_eq!(failures.len(), 1, "{report}");
         assert_eq!(failures[0].name, "power: driving-range reduction");
     }
@@ -184,7 +183,7 @@ mod tests {
             &summary(20.0, 95.0),
             &SystemPower::new(8, 17.3, 0),
         );
-        let names: Vec<_> = report.failures().iter().map(|c| c.name).collect();
+        let names: Vec<_> = failures(&report).iter().map(|c| c.name).collect();
         assert!(names.contains(&"predictability: tail/mean"), "{report}");
     }
 

@@ -27,6 +27,7 @@
 //! assert!(s.p99_99 < 100.0, "all-GPU meets the 100 ms constraint");
 //! ```
 
+pub mod anytime;
 mod config;
 mod constraints;
 mod deadline;
@@ -42,7 +43,7 @@ pub use deadline::{replay_stream, DeadlineStats};
 pub use modeled::{FrameLatency, ModeledPipeline, PipelineStats};
 pub use native::{
     build_prior_map, DetectorKind, NativeFrameResult, NativePipeline, NativePipelineConfig,
-    PipelineSnapshot, ProcessControl, TrackerKind,
+    TrackerKind,
 };
 pub use simulation::{ClosedLoopSim, SimReport, SimStep};
 pub use supervisor::{
@@ -53,12 +54,6 @@ pub use supervisor::{
 // Guard types surface in the supervisor API (config, causes, logs);
 // re-export them so `adsim_core` alone is enough to drive it.
 pub use adsim_guard::{GuardConfig, GuardEvent, GuardStats, Monitor, PipelineGuard, Violation};
-// Anytime-governor types surface the same way (SupervisorConfig holds
-// an AnytimeConfig; ProcessControl carries QualityKnobs).
-pub use adsim_anytime::{
-    default_ladder, AnytimeConfig, Governor, GovernorEvent, ModelVariant, NominalCosts,
-    QualityKnobs, QualityLevel,
-};
 // Flight-recorder types surface through the supervisor API too
 // (SupervisorConfig sizes the ring; dumps come back from it).
 pub use adsim_telemetry::{DumpTrigger, FlightDump, FlightRecorder, FrameRecord};

@@ -82,11 +82,6 @@ impl ModeledPipeline {
         Self { model: LatencyModel::paper_calibrated(), config, rng: Rng64::new(seed) }
     }
 
-    /// The platform assignment.
-    pub fn config(&self) -> PlatformConfig {
-        self.config
-    }
-
     /// The underlying latency model.
     pub fn model(&self) -> &LatencyModel {
         &self.model
@@ -137,20 +132,6 @@ impl ModeledPipeline {
     pub fn analytic_tail_ms(&self, pixel_ratio: f64) -> f64 {
         let t = |c: Component| {
             self.model.p99_99_ms(
-                c,
-                self.config.platform_for(c),
-                resolution_scale(c, pixel_ratio),
-            )
-        };
-        (t(Component::Detection) + t(Component::Tracking)).max(t(Component::Localization))
-            + t(Component::Fusion)
-            + t(Component::MotionPlanning)
-    }
-
-    /// Analytic end-to-end mean.
-    pub fn analytic_mean_ms(&self, pixel_ratio: f64) -> f64 {
-        let t = |c: Component| {
-            self.model.mean_ms(
                 c,
                 self.config.platform_for(c),
                 resolution_scale(c, pixel_ratio),
@@ -229,7 +210,9 @@ mod tests {
     #[test]
     fn resolution_scaling_raises_latency() {
         let cfg = PlatformConfig::uniform(Platform::Gpu);
-        let pipe = ModeledPipeline::new(cfg, 4);
-        assert!(pipe.analytic_mean_ms(4.0) > 3.0 * pipe.analytic_mean_ms(1.0));
+        let mut pipe = ModeledPipeline::new(cfg, 4);
+        let mut mean_ms = |ratio| pipe.simulate(2_000, ratio).end_to_end.summary().mean;
+        let (native, quad) = (mean_ms(1.0), mean_ms(4.0));
+        assert!(quad > 3.0 * native, "4x pixels: {quad} ms vs {native} ms");
     }
 }

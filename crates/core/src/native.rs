@@ -1,5 +1,5 @@
 use crate::modeled::FrameLatency;
-use adsim_anytime::{ModelVariant, QualityKnobs};
+use crate::anytime::{ModelVariant, QualityKnobs};
 use adsim_dnn::detection::Detection;
 use adsim_perception::{
     BatchRequest, BlobDetector, Detector, DetectorVariant, GoturnTracker, TemplateTracker,
@@ -90,7 +90,7 @@ impl Default for NativePipelineConfig {
 /// transparent hook: [`NativePipeline::process`] routes through it and
 /// behaves bit-identically to the unhooked pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ProcessControl {
+pub(crate) struct ProcessControl {
     /// Skip the detection engine this frame (tracker-only perception:
     /// the pool advances existing tracks with no new detections).
     pub skip_detection: bool,
@@ -223,7 +223,7 @@ impl NativePipeline {
     /// [`NativePipeline::apply_quality`] re-commands those knobs from
     /// the frame's control before any stage runs, so restored frames
     /// re-establish it deterministically.
-    pub fn snapshot(&self) -> PipelineSnapshot {
+    pub(crate) fn snapshot(&self) -> PipelineSnapshot {
         PipelineSnapshot {
             localizer: self.localizer.clone(),
             pool: self.pool.snapshot(),
@@ -236,7 +236,7 @@ impl NativePipeline {
     /// Restores a [`NativePipeline::snapshot`]; the pipeline resumes
     /// bit-identically from the captured frame. Snapshots are reusable
     /// (restoring clones out of them).
-    pub fn restore(&mut self, snap: &PipelineSnapshot) {
+    pub(crate) fn restore(&mut self, snap: &PipelineSnapshot) {
         self.localizer = snap.localizer.clone();
         self.pool.restore(&snap.pool);
         self.fusion = snap.fusion.clone();
@@ -246,7 +246,7 @@ impl NativePipeline {
 
     /// Processes one camera frame through the full Fig. 1 dataflow.
     pub fn process(&mut self, image: &GrayImage, time_s: f64) -> NativeFrameResult {
-        self.process_with(image, time_s, &ProcessControl::default())
+        self.process_with_det(image, time_s, &ProcessControl::default(), None)
     }
 
     /// Applies an anytime quality operating point before any stage
@@ -254,7 +254,7 @@ impl NativePipeline {
     /// knob setters are O(1) no-ops when already at the commanded
     /// value (the model-variant switch clones from a shared cache —
     /// never a weight copy), so re-applying the same knobs is free.
-    pub fn apply_quality(&mut self, quality: Option<QualityKnobs>) {
+    pub(crate) fn apply_quality(&mut self, quality: Option<QualityKnobs>) {
         if let Some(k) = quality {
             let variant = match k.det_variant {
                 ModelVariant::Full => DetectorVariant::Full,
@@ -272,9 +272,9 @@ impl NativePipeline {
     /// reflects the frame's actual operating point) and asks the
     /// detector to package its DNN input. Returns `None` when the
     /// frame skips detection or the detector has no batchable stage —
-    /// the caller then lets [`NativePipeline::process_with`] run
+    /// the caller then lets [`NativePipeline::process_with_det`] run
     /// detection inline as usual.
-    pub fn det_batch_request(
+    pub(crate) fn det_batch_request(
         &mut self,
         image: &GrayImage,
         ctrl: &ProcessControl,
@@ -290,18 +290,9 @@ impl NativePipeline {
     /// default control is transparent; a skipped stage costs zero
     /// measured latency and produces its empty output (no detections /
     /// no pose).
-    pub fn process_with(
-        &mut self,
-        image: &GrayImage,
-        time_s: f64,
-        ctrl: &ProcessControl,
-    ) -> NativeFrameResult {
-        self.process_with_det(image, time_s, ctrl, None)
-    }
-
-    /// [`NativePipeline::process_with`] where the detection stage may
-    /// already have run externally (the cross-vehicle batched path).
     ///
+    /// The detection stage may already have run externally (the
+    /// cross-vehicle batched path):
     /// `det_override = Some(d)` means a batch runner executed this
     /// frame's forward pass from an earlier
     /// [`NativePipeline::det_batch_request`]; the detector is not
@@ -310,7 +301,7 @@ impl NativePipeline {
     /// (the batched forward is accounted at the fleet level). All
     /// virtual-clock outputs — detections, tracks, plan, telemetry
     /// counts — are bit-identical to the inline path by construction.
-    pub fn process_with_det(
+    pub(crate) fn process_with_det(
         &mut self,
         image: &GrayImage,
         time_s: f64,
@@ -427,7 +418,7 @@ impl NativePipeline {
 /// captured by [`NativePipeline::snapshot`]. The recovery layer wraps
 /// it (with the supervisor's own state) into a pipeline checkpoint.
 #[derive(Clone)]
-pub struct PipelineSnapshot {
+pub(crate) struct PipelineSnapshot {
     localizer: Localizer,
     pool: adsim_perception::TrackerPoolSnapshot,
     fusion: FusionEngine,
@@ -439,7 +430,7 @@ impl PipelineSnapshot {
     /// Rough size of the snapshot's dynamic state in bytes: map-overlay
     /// landmarks plus live trackers. Deterministic (counts only — no
     /// allocator introspection), so benches can report it exactly.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         const LANDMARK_BYTES: usize = 48; // world point + 256-bit descriptor
         const TRACKER_BYTES: usize = 1_200; // crop/template + box + row
         std::mem::size_of::<Self>()

@@ -100,11 +100,6 @@ impl ClosedLoopSim {
         }
     }
 
-    /// The ground-truth vehicle state.
-    pub fn state(&self) -> BicycleState {
-        self.state
-    }
-
     /// Runs one perceive → plan → act step.
     pub fn step(&mut self) -> SimStep {
         // Perceive: render the world from where the vehicle *actually*

@@ -18,7 +18,7 @@
 //!   capped, then the plan is replaced by an emergency stop until the
 //!   pipeline has been healthy for `RECOVER_FRAMES` frames;
 //! * **anytime quality reduction** when the predictive deadline
-//!   governor (`adsim-anytime`) forecasts that the current quality
+//!   governor (`crate::anytime`) forecasts that the current quality
 //!   level will miss the frame budget — detector resolution, model
 //!   variant and tracker-pool capacity are stepped down a calibrated
 //!   ladder *before* the reactive watchdog would have to abandon the
@@ -31,12 +31,12 @@
 //! runtime thread count, while wall clock is still folded into the
 //! *reported* latency for deadline accounting.
 
-use crate::modeled::{FrameLatency, ModeledPipeline, PipelineStats};
-use crate::native::{NativeFrameResult, NativePipeline, PipelineSnapshot, ProcessControl};
-use adsim_anytime::{
+use crate::anytime::{
     AnytimeConfig, Governor, GovernorEvent, QualityKnobs, STAGE_DET, STAGE_FUS, STAGE_LOC,
     STAGE_MOT, STAGE_TRA,
 };
+use crate::modeled::{FrameLatency, ModeledPipeline, PipelineStats};
+use crate::native::{NativeFrameResult, NativePipeline, PipelineSnapshot, ProcessControl};
 use adsim_dnn::detection::Detection;
 use adsim_faults::{
     blackout_frame, corrupt_pixels, FaultInjector, FaultStage, FrameFaults, InjectedCrash,
@@ -1207,19 +1207,9 @@ impl Supervisor {
         }
     }
 
-    /// Seeds the localizer (GPS bootstrap), as on the bare pipeline.
-    pub fn seed_pose(&mut self, pose: Pose2) {
-        self.pipeline.seed_pose(pose);
-    }
-
     /// The wrapped pipeline.
     pub fn pipeline(&self) -> &NativePipeline {
         &self.pipeline
-    }
-
-    /// The fault injector (schedule ground truth).
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
     }
 
     /// The degradation-event log, in frame order.
@@ -1236,19 +1226,6 @@ impl Supervisor {
     /// (empty when the governor is disabled).
     pub fn governor_events(&self) -> &[GovernorEvent] {
         self.core.governor.events()
-    }
-
-    /// The anytime governor (quality level, forecast, switch count).
-    pub fn governor(&self) -> &Governor {
-        &self.core.governor
-    }
-
-    /// Closes the run: emits exit events for every still-open degraded
-    /// mode (a safe stop is left open as a valid terminal state) and
-    /// settles episode accounting. Call once after the last frame;
-    /// idempotent.
-    pub fn finish(&mut self) {
-        self.core.finish();
     }
 
     /// Flight-recorder dumps captured so far (SafeStop, monitor-trip
@@ -1496,11 +1473,6 @@ impl Supervisor {
         self.crash_armed = armed;
     }
 
-    /// Whether scheduled crash faults currently panic.
-    pub fn crash_armed(&self) -> bool {
-        self.crash_armed
-    }
-
     /// Snapshots every piece of mutable per-frame state into a
     /// checkpoint: the pipeline (trackers, localizer pose + map
     /// overlay, fusion history, planner), the fault injector's
@@ -1677,11 +1649,6 @@ impl ModeledSupervisor {
         self.core.governor.events()
     }
 
-    /// The anytime governor (quality level, forecast, switch count).
-    pub fn governor(&self) -> &Governor {
-        &self.core.governor
-    }
-
     /// Closes the run: emits exit events for every still-open degraded
     /// mode (a safe stop is left open as a valid terminal state) and
     /// settles episode accounting. Call once after the last frame;
@@ -1697,7 +1664,7 @@ impl ModeledSupervisor {
     /// dead-reckoned pose costs a constant extrapolation instead of a
     /// localization sample. The modeled pipeline has no natural
     /// localization misses, so lock loss is purely injected.
-    pub fn simulate_frame(&mut self, pixel_ratio: f64) -> FrameLatency {
+    pub(crate) fn simulate_frame(&mut self, pixel_ratio: f64) -> FrameLatency {
         let _vehicle = VehicleScope::enter(self.core.cfg.vehicle);
         let faults = self.injector.next_frame();
         let plan = self.core.plan(&faults);
@@ -1894,10 +1861,10 @@ mod tests {
         let camera = scenario.camera(Resolution::Hhd);
         let poses = (0..10).map(|i| scenario.pose_at(i * 10)).collect::<Vec<_>>();
         let map = crate::native::build_prior_map(scenario.world(), &camera, poses, 200, 25);
-        let pipe = NativePipeline::new(camera, map, crate::native::NativePipelineConfig::default());
-        let mut sup = Supervisor::new(pipe, FaultInjector::new(seed, faults), SupervisorConfig::default());
-        sup.seed_pose(scenario.pose_at(0));
-        sup
+        let mut pipe =
+            NativePipeline::new(camera, map, crate::native::NativePipelineConfig::default());
+        pipe.seed_pose(scenario.pose_at(0));
+        Supervisor::new(pipe, FaultInjector::new(seed, faults), SupervisorConfig::default())
     }
 
     #[test]
@@ -1915,7 +1882,7 @@ mod tests {
         assert_eq!(crash.frame, 0);
         // The schedule is burned: the injector advanced before the
         // panic, exactly like a real crash losing the frame.
-        assert_eq!(sup.injector().events().len(), 1);
+        assert_eq!(sup.injector.events().len(), 1);
 
         // Disarmed, the same schedule completes the frame normally.
         let mut sup = native_supervisor(7, crashy);

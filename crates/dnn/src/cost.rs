@@ -22,29 +22,18 @@ pub struct LayerCost {
 
 impl LayerCost {
     /// Bytes of weight traffic, assuming 4-byte (f32) parameters.
-    pub fn weight_bytes(&self) -> u64 {
+    pub(crate) fn weight_bytes(&self) -> u64 {
         self.params * 4
     }
 
     /// Bytes of activation traffic (read input + write output, f32).
-    pub fn activation_bytes(&self) -> u64 {
+    pub(crate) fn activation_bytes(&self) -> u64 {
         (self.input_elems + self.output_elems) * 4
     }
 
     /// Total memory traffic in bytes.
     pub fn total_bytes(&self) -> u64 {
         self.weight_bytes() + self.activation_bytes()
-    }
-
-    /// Arithmetic intensity in FLOPs per byte; the roofline coordinate
-    /// that determines whether a platform is compute- or memory-bound.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.total_bytes();
-        if bytes == 0 {
-            0.0
-        } else {
-            self.flops as f64 / bytes as f64
-        }
     }
 }
 
@@ -59,7 +48,7 @@ pub struct NetworkCost {
 
 impl NetworkCost {
     /// Builds the aggregate from per-layer costs.
-    pub fn from_layers(layers: Vec<LayerCost>) -> Self {
+    pub(crate) fn from_layers(layers: Vec<LayerCost>) -> Self {
         let mut total = LayerCost { kind: "total", ..Default::default() };
         for l in &layers {
             total.flops += l.flops;
@@ -118,13 +107,6 @@ mod tests {
         assert_eq!(c.weight_bytes(), 100);
         assert_eq!(c.activation_bytes(), 600);
         assert_eq!(c.total_bytes(), 700);
-    }
-
-    #[test]
-    fn arithmetic_intensity_is_flops_per_byte() {
-        let c = sample();
-        assert!((c.arithmetic_intensity() - 1000.0 / 700.0).abs() < 1e-9);
-        assert_eq!(LayerCost::default().arithmetic_intensity(), 0.0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl ObjectClass {
     /// # Panics
     ///
     /// Panics if `index >= 4`.
-    pub fn from_index(index: usize) -> ObjectClass {
+    pub(crate) fn from_index(index: usize) -> ObjectClass {
         Self::ALL[index]
     }
 
@@ -106,12 +106,12 @@ impl BBox {
     }
 
     /// Box area.
-    pub fn area(&self) -> f32 {
+    pub(crate) fn area(&self) -> f32 {
         self.w * self.h
     }
 
     /// Corner coordinates `(x0, y0, x1, y1)`.
-    pub fn corners(&self) -> (f32, f32, f32, f32) {
+    pub(crate) fn corners(&self) -> (f32, f32, f32, f32) {
         (
             self.cx - self.w / 2.0,
             self.cy - self.h / 2.0,

@@ -42,7 +42,7 @@ impl WeightInit {
     }
 
     /// Draws `n` small bias values uniformly from `±0.01`.
-    pub fn bias(&mut self, n: usize) -> Vec<f32> {
+    pub(crate) fn bias(&mut self, n: usize) -> Vec<f32> {
         (0..n).map(|_| self.rng.range_f32(-0.01, 0.01)).collect()
     }
 }

@@ -131,7 +131,7 @@ impl Layer {
     /// The layer's parameter tensors (weights, biases, folded batch-norm
     /// statistics) in a fixed order. Parameterless layers return an
     /// empty list. Used for weight-sharing checks and byte accounting.
-    pub fn params(&self) -> Vec<&Tensor> {
+    pub(crate) fn params(&self) -> Vec<&Tensor> {
         match self {
             Layer::Conv2d { weight, bias, .. } | Layer::Linear { weight, bias, .. } => {
                 let mut p = vec![weight];
@@ -141,15 +141,6 @@ impl Layer {
             Layer::BatchNorm { gamma, beta, mean, var, .. } => vec![gamma, beta, mean, var],
             Layer::MaxPool2d { .. } | Layer::Flatten | Layer::Activate(_) => Vec::new(),
         }
-    }
-
-    /// Runs the layer forward.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any shape/parameter error from the underlying kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_with(&Runtime::serial(), input)
     }
 
     /// Runs the layer forward on a worker pool: the compute-heavy
@@ -270,7 +261,7 @@ impl Layer {
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible.
-    pub fn cost(&self, input: &Shape) -> Result<LayerCost> {
+    pub(crate) fn cost(&self, input: &Shape) -> Result<LayerCost> {
         let out = self.output_shape(input)?;
         let out_elems = out.len() as u64;
         let cost = match self {
@@ -356,7 +347,7 @@ mod tests {
         let layer = conv_layer();
         let input = Tensor::zeros([1, 1, 8, 8]);
         let predicted = layer.output_shape(input.shape()).unwrap();
-        let actual = layer.forward(&input).unwrap();
+        let actual = layer.forward_with(&Runtime::serial(), &input).unwrap();
         assert_eq!(&predicted, actual.shape());
         assert_eq!(predicted.dims(), &[1, 2, 8, 8]);
     }
@@ -375,7 +366,7 @@ mod tests {
     #[test]
     fn flatten_collapses_trailing_dims() {
         let input = Tensor::zeros([2, 3, 4, 4]);
-        let out = Layer::Flatten.forward(&input).unwrap();
+        let out = Layer::Flatten.forward_with(&Runtime::serial(), &input).unwrap();
         assert_eq!(out.shape().dims(), &[2, 48]);
     }
 
@@ -394,9 +385,10 @@ mod tests {
     #[test]
     fn activation_layers_preserve_shape_and_apply() {
         let input = Tensor::from_vec([1, 2], vec![-1.0, 1.0]).unwrap();
-        let out = Layer::Activate(Activation::Relu).forward(&input).unwrap();
+        let rt = Runtime::serial();
+        let out = Layer::Activate(Activation::Relu).forward_with(&rt, &input).unwrap();
         assert_eq!(out.as_slice(), &[0.0, 1.0]);
-        let out = Layer::Activate(Activation::LeakyRelu(0.5)).forward(&input).unwrap();
+        let out = Layer::Activate(Activation::LeakyRelu(0.5)).forward_with(&rt, &input).unwrap();
         assert_eq!(out.as_slice(), &[-0.5, 1.0]);
     }
 

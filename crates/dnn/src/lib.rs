@@ -32,7 +32,6 @@
 
 pub mod cost;
 pub mod detection;
-pub mod fuse;
 mod init;
 mod layer;
 pub mod models;

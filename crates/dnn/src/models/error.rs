@@ -6,7 +6,7 @@ use adsim_tensor::TensorError;
 /// configuration loaded from a file or CLI flag can be validated
 /// without a process abort.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ModelError {
+pub(crate) enum ModelError {
     /// The input resolution is incompatible with the network's total
     /// downsampling factor.
     UnalignedResolution {

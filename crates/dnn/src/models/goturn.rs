@@ -24,9 +24,7 @@ use crate::network::{Network, NetworkBuilder};
 /// ```
 pub fn goturn_spec() -> ArchSpec {
     let relu = Activation::Relu;
-    ArchSpec::new(
-        "goturn",
-        // Two 227x227 RGB crops stacked channel-wise.
+    ArchSpec::new(// Two 227x227 RGB crops stacked channel-wise.
         [1, 6, 227, 227],
         vec![
             LayerSpec::Conv { out: 96, k: 11, stride: 4, pad: 0, act: relu },
@@ -75,8 +73,8 @@ pub fn goturn_tiny() -> Network {
 /// Returns [`ModelError::Build`] if the layer stack fails shape
 /// propagation (it cannot with the fixed stack below, but the decode
 /// path is typed rather than panicking).
-pub fn try_goturn_tiny() -> Result<Network, ModelError> {
-    let net = NetworkBuilder::new("goturn-tiny", [1, 2, 32, 32], 0x607)
+pub(crate) fn try_goturn_tiny() -> Result<Network, ModelError> {
+    let net = NetworkBuilder::new([1, 2, 32, 32], 0x607)
         .conv(8, 5, 2, 2, Activation::Relu)
         .max_pool(2, 2)
         .conv(16, 3, 1, 1, Activation::Relu)

@@ -16,14 +16,7 @@ mod shared;
 mod spec;
 mod yolo;
 
-pub use error::ModelError;
-pub use goturn::{goturn_spec, goturn_tiny, try_goturn_tiny};
-pub use shared::{
-    goturn_tiny_shared, try_yolo_tiny_shared, try_yolo_v2_tiny_shared, yolo_tiny_shared,
-    yolo_v2_tiny_shared,
-};
+pub use goturn::{goturn_spec, goturn_tiny};
+pub use shared::{goturn_tiny_shared, yolo_tiny_shared, yolo_v2_tiny_shared};
 pub use spec::{ArchSpec, LayerSpec};
-pub use yolo::{
-    try_vgg16_spec, try_yolo_tiny, try_yolo_v2_spec, try_yolo_v2_tiny, vgg16_spec, yolo_tiny,
-    yolo_v2_spec, yolo_v2_tiny,
-};
+pub use yolo::{vgg16_spec, yolo_tiny, yolo_v2_spec, yolo_v2_tiny};

@@ -63,7 +63,7 @@ pub fn yolo_tiny_shared(grid: usize) -> Network {
 /// # Errors
 ///
 /// Returns [`ModelError::ZeroSize`] when `grid == 0`.
-pub fn try_yolo_tiny_shared(grid: usize) -> Result<Network, ModelError> {
+pub(crate) fn try_yolo_tiny_shared(grid: usize) -> Result<Network, ModelError> {
     let cache = YOLO_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("yolo cache poisoned");
     if let Some(net) = map.get(&grid) {
@@ -90,7 +90,7 @@ pub fn yolo_v2_tiny_shared(grid: usize) -> Network {
 /// # Errors
 ///
 /// Returns [`ModelError::ZeroSize`] when `grid == 0`.
-pub fn try_yolo_v2_tiny_shared(grid: usize) -> Result<Network, ModelError> {
+pub(crate) fn try_yolo_v2_tiny_shared(grid: usize) -> Result<Network, ModelError> {
     let cache = YOLO_V2_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("yolo-v2 cache poisoned");
     if let Some(net) = map.get(&grid) {

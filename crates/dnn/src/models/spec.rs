@@ -44,7 +44,7 @@ pub enum LayerSpec {
     },
 }
 
-/// A named architecture: input shape plus layer specs.
+/// An architecture: input shape plus layer specs.
 ///
 /// # Examples
 ///
@@ -53,7 +53,6 @@ pub enum LayerSpec {
 /// use adsim_dnn::Activation;
 ///
 /// let spec = ArchSpec::new(
-///     "toy",
 ///     [1, 1, 8, 8],
 ///     vec![
 ///         LayerSpec::Conv { out: 4, k: 3, stride: 1, pad: 1, act: Activation::Relu },
@@ -67,47 +66,14 @@ pub enum LayerSpec {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchSpec {
-    name: String,
     input_shape: Shape,
     layers: Vec<LayerSpec>,
 }
 
 impl ArchSpec {
     /// Creates a spec from its parts.
-    pub fn new(
-        name: impl Into<String>,
-        input_shape: impl Into<Shape>,
-        layers: Vec<LayerSpec>,
-    ) -> Self {
-        Self { name: name.into(), input_shape: input_shape.into(), layers }
-    }
-
-    /// Architecture name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Declared input shape.
-    pub fn input_shape(&self) -> &Shape {
-        &self.input_shape
-    }
-
-    /// The layer specs in execution order.
-    pub fn layers(&self) -> &[LayerSpec] {
-        &self.layers
-    }
-
-    /// Output shape after all layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any layer is incompatible with its input.
-    pub fn output_shape(&self) -> Result<Shape> {
-        let mut shape = self.input_shape.clone();
-        for l in &self.layers {
-            shape = spec_output_shape(l, &shape)?;
-        }
-        Ok(shape)
+    pub fn new(input_shape: impl Into<Shape>, layers: Vec<LayerSpec>) -> Self {
+        Self { input_shape: input_shape.into(), layers }
     }
 
     /// Exact cost of a forward pass, computed analytically (no weight
@@ -134,7 +100,7 @@ impl ArchSpec {
     ///
     /// Returns an error if any layer is incompatible with its input.
     pub fn build(&self, seed: u64) -> Result<Network> {
-        let mut b = NetworkBuilder::new(self.name.clone(), self.input_shape.clone(), seed);
+        let mut b = NetworkBuilder::new(self.input_shape.clone(), seed);
         for l in &self.layers {
             b = match *l {
                 LayerSpec::Conv { out, k, stride, pad, act } => b.conv(out, k, stride, pad, act),
@@ -145,17 +111,6 @@ impl ArchSpec {
             };
         }
         b.build()
-    }
-
-    /// Rescales the spatial input resolution, keeping channels and
-    /// layer structure; used for the Fig. 13 resolution sweep.
-    pub fn with_resolution(&self, height: usize, width: usize) -> ArchSpec {
-        let dims = self.input_shape.dims();
-        ArchSpec {
-            name: self.name.clone(),
-            input_shape: Shape::from([dims[0], dims[1], height, width]),
-            layers: self.layers.clone(),
-        }
     }
 }
 
@@ -272,10 +227,20 @@ fn spec_cost(l: &LayerSpec, input: &Shape) -> Result<LayerCost> {
 mod tests {
     use super::*;
 
+    impl ArchSpec {
+        /// Output shape after all layers: the analytic shape the built
+        /// networks and the paper's architectures are checked against.
+        pub(crate) fn output_shape(&self) -> Result<Shape> {
+            let mut shape = self.input_shape.clone();
+            for l in &self.layers {
+                shape = spec_output_shape(l, &shape)?;
+            }
+            Ok(shape)
+        }
+    }
+
     fn toy() -> ArchSpec {
-        ArchSpec::new(
-            "toy",
-            [1, 2, 8, 8],
+        ArchSpec::new([1, 2, 8, 8],
             vec![
                 LayerSpec::Conv { out: 4, k: 3, stride: 1, pad: 1, act: Activation::Relu },
                 LayerSpec::BatchNorm,
@@ -307,22 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn with_resolution_scales_flops_linearly_for_conv() {
-        let spec = ArchSpec::new(
-            "conv-only",
-            [1, 1, 32, 32],
-            vec![LayerSpec::Conv { out: 4, k: 3, stride: 1, pad: 1, act: Activation::None }],
-        );
-        let base = spec.cost().unwrap().total.flops;
-        let double = spec.with_resolution(64, 64).cost().unwrap().total.flops;
-        assert_eq!(double, base * 4, "4x pixels -> 4x conv FLOPs");
-    }
-
-    #[test]
     fn invalid_spec_errors_at_analysis_time() {
-        let spec = ArchSpec::new(
-            "bad",
-            [1, 1, 4, 4],
+        let spec = ArchSpec::new([1, 1, 4, 4],
             vec![LayerSpec::MaxPool { window: 8, stride: 8 }],
         );
         assert!(spec.cost().is_err());

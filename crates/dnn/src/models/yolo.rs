@@ -65,7 +65,7 @@ pub fn yolo_v2_spec(height: usize, width: usize) -> ArchSpec {
 ///
 /// Returns [`ModelError::UnalignedResolution`] unless `height` and
 /// `width` are positive multiples of 32.
-pub fn try_yolo_v2_spec(height: usize, width: usize) -> Result<ArchSpec, ModelError> {
+pub(crate) fn try_yolo_v2_spec(height: usize, width: usize) -> Result<ArchSpec, ModelError> {
     check_alignment("yolo-v2", height, width, 32)?;
     let mut layers = vec![
         conv(32, 3, 1),
@@ -109,7 +109,7 @@ pub fn try_yolo_v2_spec(height: usize, width: usize) -> Result<ArchSpec, ModelEr
         pad: 0,
         act: Activation::None,
     });
-    Ok(ArchSpec::new("yolo-v2", [1, 3, height, width], layers))
+    Ok(ArchSpec::new([1, 3, height, width], layers))
 }
 
 /// VGG16 (Simonyan & Zisserman), the reference network of the paper's
@@ -142,7 +142,7 @@ pub fn vgg16_spec(height: usize, width: usize) -> ArchSpec {
 ///
 /// Returns [`ModelError::UnalignedResolution`] unless `height` and
 /// `width` are positive multiples of 32.
-pub fn try_vgg16_spec(height: usize, width: usize) -> Result<ArchSpec, ModelError> {
+pub(crate) fn try_vgg16_spec(height: usize, width: usize) -> Result<ArchSpec, ModelError> {
     check_alignment("vgg16", height, width, 32)?;
     let relu = Activation::Relu;
     let c = |out: usize| LayerSpec::Conv { out, k: 3, stride: 1, pad: 1, act: relu };
@@ -157,7 +157,7 @@ pub fn try_vgg16_spec(height: usize, width: usize) -> Result<ArchSpec, ModelErro
     layers.push(LayerSpec::Linear { out: 4096, act: relu });
     layers.push(LayerSpec::Linear { out: 4096, act: relu });
     layers.push(LayerSpec::Linear { out: 1000, act: Activation::None });
-    Ok(ArchSpec::new("vgg16", [1, 3, height, width], layers))
+    Ok(ArchSpec::new([1, 3, height, width], layers))
 }
 
 /// Reduced-scale YOLO-like detector that runs natively: a three-stage
@@ -191,12 +191,12 @@ pub fn yolo_tiny(grid: usize) -> Network {
 ///
 /// Returns [`ModelError::ZeroSize`] when `grid == 0`, or
 /// [`ModelError::Build`] if the layer stack fails shape propagation.
-pub fn try_yolo_tiny(grid: usize) -> Result<Network, ModelError> {
+pub(crate) fn try_yolo_tiny(grid: usize) -> Result<Network, ModelError> {
     if grid == 0 {
         return Err(ModelError::ZeroSize { model: "yolo-tiny", parameter: "grid" });
     }
     let side = 8 * grid;
-    let net = NetworkBuilder::new("yolo-tiny", [1, 1, side, side], 0xDE7)
+    let net = NetworkBuilder::new([1, 1, side, side], 0xDE7)
         .conv(8, 3, 1, 1, LEAKY)
         .max_pool(2, 2)
         .conv(16, 3, 1, 1, LEAKY)
@@ -243,12 +243,12 @@ pub fn yolo_v2_tiny(grid: usize) -> Network {
 ///
 /// Returns [`ModelError::ZeroSize`] when `grid == 0`, or
 /// [`ModelError::Build`] if the layer stack fails shape propagation.
-pub fn try_yolo_v2_tiny(grid: usize) -> Result<Network, ModelError> {
+pub(crate) fn try_yolo_v2_tiny(grid: usize) -> Result<Network, ModelError> {
     if grid == 0 {
         return Err(ModelError::ZeroSize { model: "yolo-v2-tiny", parameter: "grid" });
     }
     let side = 8 * grid;
-    let net = NetworkBuilder::new("yolo-v2-tiny", [1, 1, side, side], 0xDE72)
+    let net = NetworkBuilder::new([1, 1, side, side], 0xDE72)
         .conv(16, 3, 1, 1, LEAKY)
         .max_pool(2, 2)
         .conv(32, 3, 1, 1, LEAKY)

@@ -16,7 +16,7 @@ use adsim_tensor::{Shape, Tensor, TensorError};
 /// use adsim_dnn::{Activation, NetworkBuilder};
 /// use adsim_tensor::Tensor;
 ///
-/// let net = NetworkBuilder::new("demo", [1, 1, 8, 8], 42)
+/// let net = NetworkBuilder::new([1, 1, 8, 8], 42)
 ///     .conv(4, 3, 1, 1, Activation::LeakyRelu(0.1))
 ///     .max_pool(2, 2)
 ///     .flatten()
@@ -28,23 +28,11 @@ use adsim_tensor::{Shape, Tensor, TensorError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network {
-    name: String,
     input_shape: Shape,
     layers: Vec<Layer>,
 }
 
 impl Network {
-    /// Assembles a network from pre-validated parts (used by the
-    /// optimization passes in [`crate::fuse`]).
-    pub(crate) fn from_parts(name: String, input_shape: Shape, layers: Vec<Layer>) -> Self {
-        Self { name, input_shape, layers }
-    }
-
-    /// The network's descriptive name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Declared input shape (batch dimension included).
     pub fn input_shape(&self) -> &Shape {
         &self.input_shape
@@ -207,7 +195,6 @@ fn span_name(kind: &'static str) -> &'static str {
 /// seed.
 #[derive(Debug)]
 pub struct NetworkBuilder {
-    name: String,
     input_shape: Shape,
     current: Result<Shape>,
     layers: Vec<Layer>,
@@ -215,12 +202,11 @@ pub struct NetworkBuilder {
 }
 
 impl NetworkBuilder {
-    /// Starts a network with the given name, input shape (NCHW for
+    /// Starts a network with the given input shape (NCHW for
     /// convolutional fronts) and weight seed.
-    pub fn new(name: impl Into<String>, input_shape: impl Into<Shape>, seed: u64) -> Self {
+    pub fn new(input_shape: impl Into<Shape>, seed: u64) -> Self {
         let input_shape = input_shape.into();
         Self {
-            name: name.into(),
             current: Ok(input_shape.clone()),
             input_shape,
             layers: Vec::new(),
@@ -265,7 +251,7 @@ impl NetworkBuilder {
 
     /// Appends an inference-time batch-norm layer with identity-ish
     /// folded statistics (deterministic small perturbations).
-    pub fn batch_norm(mut self) -> Self {
+    pub(crate) fn batch_norm(mut self) -> Self {
         let Ok(shape) = self.current.clone() else { return self };
         let Ok((_, c, _, _)) = shape.as_nchw() else {
             self.current = Err(TensorError::RankMismatch {
@@ -317,7 +303,7 @@ impl NetworkBuilder {
     /// rather than at inference time.
     pub fn build(self) -> Result<Network> {
         self.current?;
-        Ok(Network { name: self.name, input_shape: self.input_shape, layers: self.layers })
+        Ok(Network { input_shape: self.input_shape, layers: self.layers })
     }
 
     fn push(mut self, layer: Layer) -> Self {
@@ -340,7 +326,7 @@ mod tests {
 
     #[test]
     fn builder_tracks_shapes() {
-        let net = NetworkBuilder::new("t", [1, 3, 16, 16], 1)
+        let net = NetworkBuilder::new([1, 3, 16, 16], 1)
             .conv(8, 3, 1, 1, Activation::Relu)
             .max_pool(2, 2)
             .conv(16, 3, 1, 1, Activation::Relu)
@@ -355,12 +341,12 @@ mod tests {
 
     #[test]
     fn builder_rejects_incompatible_layers() {
-        let err = NetworkBuilder::new("bad", [1, 1, 4, 4], 1)
+        let err = NetworkBuilder::new([1, 1, 4, 4], 1)
             .max_pool(8, 8)
             .build();
         assert!(err.is_err());
         // Linear before flatten on a 4-D tensor is also a build error.
-        let err = NetworkBuilder::new("bad2", [1, 1, 4, 4], 1)
+        let err = NetworkBuilder::new([1, 1, 4, 4], 1)
             .linear(3, Activation::None)
             .build();
         assert!(err.is_err());
@@ -368,7 +354,7 @@ mod tests {
 
     #[test]
     fn forward_validates_input_shape() {
-        let net = NetworkBuilder::new("t", [1, 1, 4, 4], 1)
+        let net = NetworkBuilder::new([1, 1, 4, 4], 1)
             .flatten()
             .linear(2, Activation::None)
             .build()
@@ -380,7 +366,7 @@ mod tests {
     #[test]
     fn forward_is_deterministic_across_equal_seeds() {
         let make = || {
-            NetworkBuilder::new("t", [1, 1, 6, 6], 99)
+            NetworkBuilder::new([1, 1, 6, 6], 99)
                 .conv(2, 3, 1, 0, Activation::Tanh)
                 .flatten()
                 .linear(3, Activation::Sigmoid)
@@ -395,7 +381,7 @@ mod tests {
 
     #[test]
     fn forward_with_matches_forward_on_any_thread_count() {
-        let net = NetworkBuilder::new("t", [2, 2, 12, 12], 7)
+        let net = NetworkBuilder::new([2, 2, 12, 12], 7)
             .conv(6, 3, 1, 1, Activation::LeakyRelu(0.1))
             .max_pool(2, 2)
             .conv(8, 3, 1, 1, Activation::Relu)
@@ -415,7 +401,7 @@ mod tests {
 
     #[test]
     fn forward_batched_matches_per_image_forward_bitwise() {
-        let net = NetworkBuilder::new("t", [1, 2, 12, 12], 7)
+        let net = NetworkBuilder::new([1, 2, 12, 12], 7)
             .conv(6, 3, 1, 1, Activation::LeakyRelu(0.1))
             .max_pool(2, 2)
             .conv(8, 3, 1, 1, Activation::Relu)
@@ -453,7 +439,7 @@ mod tests {
 
     #[test]
     fn forward_batched_validates_per_image_dims() {
-        let net = NetworkBuilder::new("t", [1, 1, 4, 4], 1)
+        let net = NetworkBuilder::new([1, 1, 4, 4], 1)
             .flatten()
             .linear(2, Activation::None)
             .build()
@@ -466,7 +452,7 @@ mod tests {
 
     #[test]
     fn cost_matches_layer_count() {
-        let net = NetworkBuilder::new("t", [1, 1, 8, 8], 1)
+        let net = NetworkBuilder::new([1, 1, 8, 8], 1)
             .conv(4, 3, 1, 1, Activation::Relu)
             .batch_norm()
             .max_pool(2, 2)
@@ -483,7 +469,7 @@ mod tests {
 
     #[test]
     fn batch_norm_keeps_values_finite() {
-        let net = NetworkBuilder::new("t", [1, 2, 4, 4], 5)
+        let net = NetworkBuilder::new([1, 2, 4, 4], 5)
             .conv(2, 3, 1, 1, Activation::None)
             .batch_norm()
             .build()

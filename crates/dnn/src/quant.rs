@@ -6,8 +6,8 @@
 //! symmetric int8 quantization — per-tensor or per-output-row — with
 //! i32 accumulation on the SIMD int8 GEMM
 //! ([`ops::matmul_i8_into`]), batched quantized convolution/linear
-//! kernels, and [`QuantNetwork`]: per-layer-selectable int8 inference
-//! over a float [`Network`] with measured per-layer accuracy deltas.
+//! kernels, and [`QuantNetwork`]: int8 inference over a float
+//! [`Network`] with measured per-layer accuracy deltas.
 //!
 //! # Determinism
 //!
@@ -42,7 +42,7 @@ use adsim_tensor::{ops, simd, Shape, Tensor, TensorError};
 ///
 /// Scales are either **per-tensor** (one scale for every element, from
 /// [`QuantTensor::quantize`]) or **per-row** (one scale per slice of
-/// the leading dimension, from [`QuantTensor::quantize_per_row`]).
+/// the leading dimension, from `QuantTensor::quantize_per_row`).
 /// Per-row scales matter for weights: one saturated output channel no
 /// longer forces a coarse grid onto every other channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +82,7 @@ impl QuantTensor {
     /// Quantizes a float tensor with one scale per leading-dimension
     /// row — for an OIHW conv filter bank or an `[out, in]` linear
     /// weight this is per-output-channel quantization.
-    pub fn quantize_per_row(t: &Tensor) -> QuantTensor {
+    pub(crate) fn quantize_per_row(t: &Tensor) -> QuantTensor {
         let rows = t.shape().dim(0);
         let cols = t.len() / rows;
         let src = t.as_slice();
@@ -96,34 +96,13 @@ impl QuantTensor {
         QuantTensor { shape: t.shape().clone(), data, scales }
     }
 
-    /// The per-tensor quantization scale (for per-row tensors, the
-    /// first row's scale).
-    pub fn scale(&self) -> f32 {
-        self.scales[0]
-    }
-
-    /// All scales: length 1 for per-tensor, `dim(0)` for per-row.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
     /// The scale that applies to leading-dimension row `r`.
-    pub fn row_scale(&self, r: usize) -> f32 {
+    pub(crate) fn row_scale(&self, r: usize) -> f32 {
         if self.scales.len() == 1 {
             self.scales[0]
         } else {
             self.scales[r]
         }
-    }
-
-    /// Whether this tensor carries per-row scales.
-    pub fn is_per_row(&self) -> bool {
-        self.scales.len() > 1
-    }
-
-    /// The tensor shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
     }
 
     /// Reconstructs the float tensor.
@@ -138,79 +117,6 @@ impl QuantTensor {
             .collect();
         Tensor::from_vec(self.shape.clone(), data).expect("length preserved")
     }
-
-    /// Worst-case absolute quantization error for this tensor.
-    pub fn max_abs_error(&self, original: &Tensor) -> f32 {
-        self.dequantize()
-            .iter()
-            .zip(original.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
-    }
-
-    /// Bytes occupied by the quantized representation (4× smaller than
-    /// f32 — the memory-footprint win the paper's on-chip buffers rely
-    /// on).
-    pub fn bytes(&self) -> usize {
-        self.data.len()
-    }
-}
-
-/// Int8 matrix multiply with i32 accumulation on the SIMD int8 GEMM:
-/// `[m, k] × [k, n] → [m, n]` floats. `a` may carry per-row scales
-/// (each output row dequantizes through its own scale); `b` must be
-/// per-tensor, since a per-row scale on `b` would vary along the
-/// contraction axis and cannot be factored out of the integer sum.
-///
-/// # Errors
-///
-/// Returns an error on rank or inner-dimension mismatch, or if `b` is
-/// per-row quantized.
-pub fn quant_matmul(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-    quant_matmul_with(&Runtime::serial(), a, b)
-}
-
-/// [`quant_matmul`] with the GEMM distributed over `rt`'s workers.
-/// Integer accumulation is exact, so the result is bit-identical on
-/// any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`quant_matmul`].
-pub fn quant_matmul_with(rt: &Runtime, a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-    if a.shape.rank() != 2 || b.shape.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            op: "quant_matmul",
-            expected: 2,
-            actual: if a.shape.rank() != 2 { a.shape.rank() } else { b.shape.rank() },
-        });
-    }
-    let (m, k) = (a.shape.dim(0), a.shape.dim(1));
-    let (k2, n) = (b.shape.dim(0), b.shape.dim(1));
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "quant_matmul",
-            lhs: a.shape.clone(),
-            rhs: b.shape.clone(),
-        });
-    }
-    if b.is_per_row() {
-        return Err(TensorError::InvalidParameter {
-            op: "quant_matmul",
-            reason: "rhs must be per-tensor quantized (per-row scales vary along k)".into(),
-        });
-    }
-    let mut acc = vec![0i32; m * n];
-    ops::matmul_i8_into(rt, simd::active(), &a.data, &b.data, &mut acc, m, k, n);
-    let bscale = b.scales[0];
-    let mut out = vec![0f32; m * n];
-    for i in 0..m {
-        let rescale = a.row_scale(i) * bscale;
-        for (o, &s) in out[i * n..(i + 1) * n].iter_mut().zip(&acc[i * n..(i + 1) * n]) {
-            *o = s as f32 * rescale;
-        }
-    }
-    Tensor::from_vec([m, n], out)
 }
 
 /// Int8 2-D convolution over a full `[n, c, h, w]` batch: im2col
@@ -241,7 +147,7 @@ pub fn quant_conv2d(
 /// # Errors
 ///
 /// Same conditions as [`ops::conv2d`].
-pub fn quant_conv2d_with(
+pub(crate) fn quant_conv2d_with(
     rt: &Runtime,
     input: &Tensor,
     weight: &QuantTensor,
@@ -311,7 +217,7 @@ pub fn quant_conv2d_with(
 /// # Errors
 ///
 /// Returns an error on rank or inner-dimension mismatch.
-pub fn quant_linear_with(
+pub(crate) fn quant_linear_with(
     rt: &Runtime,
     input: &Tensor,
     weight: &QuantTensor,
@@ -381,15 +287,6 @@ fn infer_out_hw(
     Ok((h_out, w_out))
 }
 
-/// Numeric precision of one layer in a [`QuantNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayerPrecision {
-    /// Run the original float kernels.
-    F32,
-    /// Run the int8 lane path (conv/linear layers only).
-    Int8,
-}
-
 /// Per-layer accuracy delta of int8 vs f32, from
 /// [`QuantNetwork::layer_errors`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -407,10 +304,9 @@ pub struct LayerError {
 }
 
 /// A float [`Network`] with per-output-channel int8 weights for every
-/// conv/linear layer and a per-layer precision policy: each eligible
-/// layer runs either the f32 kernels or the int8 lane path. Ineligible
-/// layers (pooling, batch-norm, reshape, activations) always run f32 —
-/// they are memory-bound and gain nothing from int8 here.
+/// conv/linear layer, which run the int8 lane path. Every other layer
+/// (pooling, batch-norm, reshape, activations) runs f32 — they are
+/// memory-bound and gain nothing from int8 here.
 ///
 /// The wrapped network is cloned cheaply: parameter tensors share
 /// storage (`Arc` copy-on-write), so a `QuantNetwork` adds only the
@@ -419,12 +315,10 @@ pub struct LayerError {
 pub struct QuantNetwork {
     net: Network,
     qweights: Vec<Option<QuantTensor>>,
-    precision: Vec<LayerPrecision>,
 }
 
 impl QuantNetwork {
-    /// Quantizes every conv/linear weight of `net` per output channel;
-    /// eligible layers default to [`LayerPrecision::Int8`].
+    /// Quantizes every conv/linear weight of `net` per output channel.
     pub fn from_network(net: &Network) -> QuantNetwork {
         let qweights: Vec<Option<QuantTensor>> = net
             .layers()
@@ -436,11 +330,7 @@ impl QuantNetwork {
                 _ => None,
             })
             .collect();
-        let precision = qweights
-            .iter()
-            .map(|q| if q.is_some() { LayerPrecision::Int8 } else { LayerPrecision::F32 })
-            .collect();
-        QuantNetwork { net: net.clone(), qweights, precision }
+        QuantNetwork { net: net.clone(), qweights }
     }
 
     /// The wrapped float network.
@@ -448,50 +338,9 @@ impl QuantNetwork {
         &self.net
     }
 
-    /// The per-layer precision policy, indexed like
-    /// [`Network::layers`].
-    pub fn precision(&self) -> &[LayerPrecision] {
-        &self.precision
-    }
-
-    /// Sets the precision of layer `index`. Requesting `Int8` on an
-    /// ineligible layer is a no-op at inference time (the layer has no
-    /// quantized weights and falls back to f32).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set_precision(&mut self, index: usize, precision: LayerPrecision) {
-        self.precision[index] = precision;
-    }
-
-    /// Number of layers that will actually run int8.
-    pub fn int8_layers(&self) -> usize {
-        self.qweights
-            .iter()
-            .zip(&self.precision)
-            .filter(|(q, p)| q.is_some() && **p == LayerPrecision::Int8)
-            .count()
-    }
-
-    /// Int8 weight bytes held alongside the float weights.
-    pub fn quant_bytes(&self) -> usize {
-        self.qweights.iter().flatten().map(QuantTensor::bytes).sum()
-    }
-
-    /// Runs the network on `input` (any batch size whose per-image
-    /// dims match the declared input shape), serially.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantNetwork::forward_with`].
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_with(&Runtime::serial(), input)
-    }
-
     /// Runs the network on `input` with kernels distributed over `rt`.
-    /// Layers flagged [`LayerPrecision::Int8`] run the int8 lane path;
-    /// everything else runs the float kernels. Accepts any batch size
+    /// Conv/linear layers run the int8 lane path; everything else runs
+    /// the float kernels. Accepts any batch size
     /// (the per-image dims must match the declared input shape), and
     /// is bit-identical across batch sizes and thread counts.
     ///
@@ -516,16 +365,15 @@ impl QuantNetwork {
         Ok(x)
     }
 
-    /// Runs layer `i` on `x`, honoring the precision policy.
+    /// Runs layer `i` on `x`: int8 where it has quantized weights.
     fn layer_forward(&self, rt: &Runtime, i: usize, x: &Tensor) -> Result<Tensor> {
         let layer = &self.net.layers()[i];
-        let int8 = self.precision[i] == LayerPrecision::Int8;
         match (layer, &self.qweights[i]) {
-            (Layer::Conv2d { bias, stride, pad, activation, .. }, Some(qw)) if int8 => {
+            (Layer::Conv2d { bias, stride, pad, activation, .. }, Some(qw)) => {
                 let out = quant_conv2d_with(rt, x, qw, bias.as_ref(), *stride, *pad)?;
                 Ok(activation.apply_owned(rt, out))
             }
-            (Layer::Linear { bias, activation, .. }, Some(qw)) if int8 => {
+            (Layer::Linear { bias, activation, .. }, Some(qw)) => {
                 let out = quant_linear_with(rt, x, qw, bias.as_ref())?;
                 Ok(activation.apply_owned(rt, out))
             }
@@ -585,8 +433,10 @@ mod tests {
         let t = noisy([64], 1);
         let q = QuantTensor::quantize(&t);
         // Half an LSB of the scale.
-        assert!(q.max_abs_error(&t) <= q.scale() * 0.5 + 1e-6);
-        assert_eq!(q.bytes(), 64);
+        let back = q.dequantize();
+        let err = back.iter().zip(t.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
+        assert!(err <= q.scales[0] * 0.5 + 1e-6);
+        assert_eq!(q.data.len(), 64);
     }
 
     #[test]
@@ -607,49 +457,13 @@ mod tests {
         .unwrap();
         let per_tensor = QuantTensor::quantize(&t);
         let per_row = QuantTensor::quantize_per_row(&t);
-        assert!(per_row.is_per_row());
-        assert_eq!(per_row.scales().len(), 2);
+        assert_eq!(per_row.scales.len(), 2);
         let row1 = Tensor::from_vec([4], vec![0.9, -0.4, 0.7, -0.2]).unwrap();
         let pt_row1 = Tensor::from_vec([4], per_tensor.dequantize().as_slice()[4..].to_vec()).unwrap();
         let pr_row1 = Tensor::from_vec([4], per_row.dequantize().as_slice()[4..].to_vec()).unwrap();
         let pt_err: f32 = pt_row1.iter().zip(row1.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
         let pr_err: f32 = pr_row1.iter().zip(row1.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
         assert!(pr_err < pt_err / 10.0, "per-row {pr_err} vs per-tensor {pt_err}");
-    }
-
-    #[test]
-    fn quant_matmul_tracks_float_matmul() {
-        let a = noisy([8, 16], 2);
-        let b = noisy([16, 4], 3);
-        let exact = ops::matmul(&a, &b).unwrap();
-        let approx = quant_matmul(&QuantTensor::quantize(&a), &QuantTensor::quantize(&b)).unwrap();
-        let scale = exact.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        for (x, y) in exact.iter().zip(approx.iter()) {
-            assert!((x - y).abs() < 0.05 * scale.max(1.0), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn quant_matmul_accepts_per_row_lhs_rejects_per_row_rhs() {
-        let a = noisy([6, 16], 7);
-        let b = noisy([16, 5], 8);
-        let out = quant_matmul(&QuantTensor::quantize_per_row(&a), &QuantTensor::quantize(&b))
-            .unwrap();
-        assert_eq!(out.shape().dims(), &[6, 5]);
-        assert!(
-            quant_matmul(&QuantTensor::quantize(&a), &QuantTensor::quantize_per_row(&b)).is_err()
-        );
-    }
-
-    #[test]
-    fn quant_matmul_is_thread_invariant() {
-        let a = QuantTensor::quantize_per_row(&noisy([9, 40], 11));
-        let b = QuantTensor::quantize(&noisy([40, 17], 12));
-        let serial = quant_matmul(&a, &b).unwrap();
-        for t in [2, 8] {
-            let par = quant_matmul_with(&Runtime::new(t), &a, &b).unwrap();
-            assert_eq!(par, serial, "threads={t}");
-        }
     }
 
     #[test]
@@ -714,23 +528,14 @@ mod tests {
     }
 
     #[test]
-    fn quant_matmul_validates_shapes() {
-        let a = QuantTensor::quantize(&Tensor::zeros([2, 3]));
-        let b = QuantTensor::quantize(&Tensor::zeros([4, 2]));
-        assert!(quant_matmul(&a, &b).is_err());
-        let v = QuantTensor::quantize(&Tensor::zeros([3]));
-        assert!(quant_matmul(&v, &a).is_err());
-    }
-
-    #[test]
     fn memory_footprint_is_quarter_of_f32() {
         let t = noisy([1, 8, 16, 16], 9);
         let q = QuantTensor::quantize(&t);
-        assert_eq!(q.bytes() * 4, t.len() * 4);
+        assert_eq!(q.data.len() * 4, t.len() * std::mem::size_of::<f32>());
     }
 
     fn tiny_net() -> Network {
-        NetworkBuilder::new("q", [1, 2, 12, 12], 31)
+        NetworkBuilder::new([1, 2, 12, 12], 31)
             .conv(4, 3, 1, 1, Activation::LeakyRelu(0.1))
             .max_pool(2, 2)
             .conv(6, 3, 1, 1, Activation::Relu)
@@ -744,30 +549,13 @@ mod tests {
     fn quant_network_tracks_float_network() {
         let net = tiny_net();
         let qnet = QuantNetwork::from_network(&net);
-        assert_eq!(qnet.int8_layers(), 3);
-        assert!(qnet.quant_bytes() > 0);
+        assert_eq!(qnet.qweights.iter().flatten().count(), 3);
         let input = noisy([1, 2, 12, 12], 41);
         let exact = net.forward(&input).unwrap();
-        let approx = qnet.forward(&input).unwrap();
+        let approx = qnet.forward_with(&Runtime::serial(), &input).unwrap();
         let scale = exact.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         for (x, y) in exact.iter().zip(approx.iter()) {
             assert!((x - y).abs() < 0.1 * scale.max(1.0), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn all_f32_policy_is_bit_identical_to_float_network() {
-        let net = tiny_net();
-        let mut qnet = QuantNetwork::from_network(&net);
-        for i in 0..net.layers().len() {
-            qnet.set_precision(i, LayerPrecision::F32);
-        }
-        assert_eq!(qnet.int8_layers(), 0);
-        let input = noisy([1, 2, 12, 12], 42);
-        let exact = net.forward(&input).unwrap();
-        let same = qnet.forward(&input).unwrap();
-        for (x, y) in exact.iter().zip(same.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
@@ -777,7 +565,7 @@ mod tests {
         let qnet = QuantNetwork::from_network(&net);
         let input = noisy([3, 2, 12, 12], 43);
         let per_img = 2 * 12 * 12;
-        let batched = qnet.forward(&input).unwrap();
+        let batched = qnet.forward_with(&Runtime::serial(), &input).unwrap();
         let out_len = batched.len() / 3;
         for img in 0..3 {
             let single = Tensor::from_vec(
@@ -785,7 +573,7 @@ mod tests {
                 input.as_slice()[img * per_img..(img + 1) * per_img].to_vec(),
             )
             .unwrap();
-            let one = qnet.forward(&single).unwrap();
+            let one = qnet.forward_with(&Runtime::serial(), &single).unwrap();
             for (i, (x, y)) in
                 batched.as_slice()[img * out_len..(img + 1) * out_len].iter().zip(one.iter()).enumerate()
             {

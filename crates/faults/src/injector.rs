@@ -90,12 +90,6 @@ impl FrameFaults {
             && self.drift.is_empty()
             && self.crash.is_none()
     }
-
-    /// The drift load multiplier for `stage` (1.0 when the stage is
-    /// not inside a drift episode).
-    pub fn drift_load(&self, stage: FaultStage) -> f64 {
-        self.drift.iter().find(|(s, _)| *s == stage).map_or(1.0, |&(_, l)| l)
-    }
 }
 
 /// One entry of the injector's own event log (what was injected and
@@ -358,11 +352,6 @@ impl FaultInjector {
     /// The campaign config.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
-    }
-
-    /// Frames generated so far.
-    pub fn frames(&self) -> u64 {
-        self.frame
     }
 
     /// Everything injected so far, in frame order.
@@ -632,6 +621,12 @@ mod tests {
         (frames, inj.events().to_vec())
     }
 
+    /// The drift load multiplier for `stage` (1.0 when the stage is
+    /// not inside a drift episode).
+    fn drift_load(f: &FrameFaults, stage: FaultStage) -> f64 {
+        f.drift.iter().find(|(s, _)| *s == stage).map_or(1.0, |&(_, l)| l)
+    }
+
     #[test]
     fn disabled_injector_emits_only_clean_frames() {
         let mut inj = FaultInjector::disabled();
@@ -747,10 +742,10 @@ mod tests {
                     let f = &frames[(e.frame + k) as usize];
                     let expect = 1.0 + 0.05 * (k + 1) as f64;
                     assert!(
-                        (f.drift_load(stage) - expect).abs() < 1e-9,
+                        (drift_load(f, stage) - expect).abs() < 1e-9,
                         "frame {} stage {stage}: load {} want {expect}",
                         e.frame + k,
-                        f.drift_load(stage)
+                        drift_load(f, stage)
                     );
                 }
                 // The frame after the episode is back to nominal,
@@ -762,7 +757,7 @@ mod tests {
                             FaultKind::LatencyDriftStarted { stage: s, .. } if s == stage)
                 });
                 if !fresh_start {
-                    assert_eq!(after.drift_load(stage), 1.0, "frame {}", after.frame);
+                    assert_eq!(drift_load(after, stage), 1.0, "frame {}", after.frame);
                 }
             }
         }
@@ -800,7 +795,7 @@ mod tests {
     fn drift_load_defaults_to_nominal() {
         let f = FrameFaults::default();
         assert!(f.is_clean());
-        assert_eq!(f.drift_load(FaultStage::Detection), 1.0);
+        assert_eq!(drift_load(&f, FaultStage::Detection), 1.0);
     }
 
     #[test]

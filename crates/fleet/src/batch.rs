@@ -44,7 +44,7 @@ pub struct BatchStats {
 /// decoded detections back. See the module docs for the determinism
 /// argument.
 #[derive(Debug)]
-pub struct BatchedInference {
+pub(crate) struct BatchedInference {
     rt: Runtime,
     stats: BatchStats,
 }
@@ -52,12 +52,12 @@ pub struct BatchedInference {
 impl BatchedInference {
     /// A service running its forward passes on `rt`. Outputs are
     /// bit-identical on any thread count.
-    pub fn new(rt: Runtime) -> Self {
+    pub(crate) fn new(rt: Runtime) -> Self {
         Self { rt, stats: BatchStats::default() }
     }
 
     /// Batching counters so far.
-    pub fn stats(&self) -> BatchStats {
+    pub(crate) fn stats(&self) -> BatchStats {
         self.stats
     }
 
@@ -69,7 +69,7 @@ impl BatchedInference {
     /// shared cached network — the same `Arc`-backed weights every
     /// cell's own detector reads, so results match the inline path
     /// bit for bit.
-    pub fn infer(&mut self, requests: &[&BatchRequest]) -> Vec<Vec<Detection>> {
+    pub(crate) fn infer(&mut self, requests: &[&BatchRequest]) -> Vec<Vec<Detection>> {
         let mut groups: BTreeMap<(u8, usize, u32, u32), Vec<usize>> = BTreeMap::new();
         for (i, r) in requests.iter().enumerate() {
             let variant = match r.variant {

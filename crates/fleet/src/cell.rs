@@ -678,7 +678,6 @@ fn drive_cell(assets: &FleetAssets, run: &mut CellRun) {
                 };
                 run.restore(ck);
                 run.record_crash(&record, &msg);
-                coord.record(record);
                 run.set_crash_armed(false);
                 stream.seek(ck_frame);
                 if exhausted {

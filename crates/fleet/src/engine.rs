@@ -196,7 +196,7 @@ impl FleetEngine {
     /// [`FleetEngine::run`] with cross-vehicle batched DNN inference.
     ///
     /// Cells advance in **lockstep**: every cell stages frame *k* at
-    /// the detection hand-off point, one [`BatchedInference`] pass
+    /// the detection hand-off point, one `BatchedInference` pass
     /// serves all staged detector inputs (one `[n, c, h, w]` forward
     /// per model variant on `workers` threads), and each cell then
     /// finishes its frame with its scattered detections. Because the

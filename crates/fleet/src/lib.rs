@@ -54,7 +54,7 @@ mod engine;
 mod sink;
 
 pub use assets::FleetAssets;
-pub use batch::{BatchStats, BatchedInference};
+pub use batch::BatchStats;
 pub use cell::{run_cell, CellOutcome, CellSpec};
 pub use engine::{CampaignResult, FleetConfig, FleetEngine};
 pub use sink::{FleetSink, StageHistograms};

@@ -29,12 +29,12 @@ pub struct StageHistograms {
 
 impl StageHistograms {
     /// Empty histograms.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one frame's reported stage latencies.
-    pub fn record(&mut self, lat: &FrameLatency) {
+    pub(crate) fn record(&mut self, lat: &FrameLatency) {
         self.detection.record(lat.detection);
         self.tracking.record(lat.tracking);
         self.localization.record(lat.localization);
@@ -44,25 +44,13 @@ impl StageHistograms {
     }
 
     /// Bucket-wise merge of another cell's histograms into this one.
-    pub fn merge(&mut self, other: &StageHistograms) {
+    pub(crate) fn merge(&mut self, other: &StageHistograms) {
         self.detection.merge(&other.detection);
         self.tracking.merge(&other.tracking);
         self.localization.merge(&other.localization);
         self.fusion.merge(&other.fusion);
         self.motion_planning.merge(&other.motion_planning);
         self.end_to_end.merge(&other.end_to_end);
-    }
-
-    /// `(name, histogram)` pairs in pipeline order, for reports.
-    pub fn stages(&self) -> [(&'static str, &LogHistogram); 6] {
-        [
-            ("detection", &self.detection),
-            ("tracking", &self.tracking),
-            ("localization", &self.localization),
-            ("fusion", &self.fusion),
-            ("motion_planning", &self.motion_planning),
-            ("end_to_end", &self.end_to_end),
-        ]
     }
 }
 
@@ -102,13 +90,13 @@ pub struct FleetSink {
 
 impl FleetSink {
     /// An empty sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Absorbs one finished cell: counters from the outcome, latency
     /// tails from the cell's histograms (which the caller then drops).
-    pub fn absorb(&mut self, outcome: &CellOutcome, hists: &StageHistograms) {
+    pub(crate) fn absorb(&mut self, outcome: &CellOutcome, hists: &StageHistograms) {
         self.stages.merge(hists);
         self.cells += 1;
         self.frames += outcome.frames;

@@ -9,9 +9,7 @@
 //! adversary here is `adsim-faults`, cosmic rays and DMA bugs, not an
 //! attacker.
 
-use adsim_dnn::detection::Detection;
-use adsim_tensor::Tensor;
-use adsim_vision::{GrayImage, Pose2};
+use adsim_vision::GrayImage;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -54,7 +52,7 @@ impl Hasher {
 
     /// Folds a byte slice, eight bytes per round plus a
     /// length-terminated tail (so `[0]` and `[0, 0]` hash differently).
-    pub fn bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
             self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
@@ -87,13 +85,6 @@ impl Hasher {
     }
 }
 
-/// Digest of a raw byte buffer.
-pub fn digest_bytes(bytes: &[u8]) -> Digest {
-    let mut h = Hasher::new();
-    h.bytes(bytes);
-    h.finish()
-}
-
 /// Digest of a grayscale frame: dimensions plus pixel content, so a
 /// resize and a corruption are both mismatches.
 pub fn digest_image(img: &GrayImage) -> Digest {
@@ -104,45 +95,9 @@ pub fn digest_image(img: &GrayImage) -> Digest {
     h.finish()
 }
 
-/// Digest of a tensor: shape plus element bit patterns.
-pub fn digest_tensor(t: &Tensor) -> Digest {
-    let mut h = Hasher::new();
-    for &d in t.shape().dims() {
-        h.word(d as u64);
-    }
-    h.word(t.shape().dims().len() as u64);
-    h.f32s(t.as_slice());
-    h.finish()
-}
-
-/// Digest of a detection list (the DET→TRA hand-off payload): boxes,
-/// classes and scores, order-sensitive.
-pub fn digest_detections(dets: &[Detection]) -> Digest {
-    let mut h = Hasher::new();
-    for d in dets {
-        h.f32s(&[d.bbox.cx, d.bbox.cy, d.bbox.w, d.bbox.h, d.score]);
-        h.word(d.class.index() as u64);
-    }
-    h.word(dets.len() as u64);
-    h.finish()
-}
-
-/// Digest of a pose sequence (a planner output payload).
-pub fn digest_poses(poses: &[Pose2]) -> Digest {
-    let mut h = Hasher::new();
-    for p in poses {
-        h.word(p.x.to_bits());
-        h.word(p.y.to_bits());
-        h.word(p.theta.to_bits());
-    }
-    h.word(poses.len() as u64);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adsim_dnn::detection::{BBox, ObjectClass};
 
     #[test]
     fn digests_are_deterministic_and_content_sensitive() {
@@ -163,57 +118,4 @@ mod tests {
         assert_ne!(digest_image(&a), digest_image(&b));
     }
 
-    #[test]
-    fn byte_tail_and_length_disambiguate() {
-        assert_ne!(digest_bytes(&[0]), digest_bytes(&[0, 0]));
-        assert_ne!(digest_bytes(&[1, 2, 3]), digest_bytes(&[1, 2, 3, 0]));
-        assert_ne!(digest_bytes(b""), digest_bytes(&[0u8; 8]));
-    }
-
-    #[test]
-    fn tensor_digest_covers_shape_and_bits() {
-        let t = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let u = Tensor::from_vec([4, 1], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_ne!(digest_tensor(&t), digest_tensor(&u), "shape matters");
-        let v = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, -4.0]).unwrap();
-        assert_ne!(digest_tensor(&t), digest_tensor(&v), "content matters");
-        assert_eq!(
-            digest_tensor(&t),
-            digest_tensor(&Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap())
-        );
-    }
-
-    #[test]
-    fn image_and_its_tensor_lift_digest_consistently() {
-        // The DET stage hand-off digests both representations; the
-        // mapping image -> tensor is deterministic, so equal images
-        // lift to equal tensor digests.
-        let img = GrayImage::from_fn(32, 24, |x, y| (x + 2 * y) as u8);
-        let copy = img.clone();
-        assert_eq!(digest_tensor(&img.to_tensor()), digest_tensor(&copy.to_tensor()));
-    }
-
-    #[test]
-    fn detection_digest_is_order_sensitive() {
-        let d1 = Detection {
-            bbox: BBox::new(0.2, 0.2, 0.1, 0.1),
-            class: ObjectClass::Vehicle,
-            score: 0.9,
-        };
-        let d2 = Detection {
-            bbox: BBox::new(0.7, 0.6, 0.2, 0.1),
-            class: ObjectClass::Pedestrian,
-            score: 0.8,
-        };
-        assert_ne!(digest_detections(&[d1, d2]), digest_detections(&[d2, d1]));
-        assert_eq!(digest_detections(&[d1, d2]), digest_detections(&[d1, d2]));
-        assert_ne!(digest_detections(&[]), digest_detections(&[d1]));
-    }
-
-    #[test]
-    fn pose_digest_distinguishes_heading() {
-        let a = [Pose2::new(1.0, 2.0, 0.1)];
-        let b = [Pose2::new(1.0, 2.0, 0.2)];
-        assert_ne!(digest_poses(&a), digest_poses(&b));
-    }
 }

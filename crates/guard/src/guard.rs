@@ -113,11 +113,6 @@ pub struct FrameVerdict {
 }
 
 impl FrameVerdict {
-    /// True when no monitor tripped.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
     /// True when `monitor` tripped this frame.
     pub fn tripped(&self, monitor: Monitor) -> bool {
         self.violations.iter().any(|v| v.monitor == monitor)
@@ -142,11 +137,6 @@ impl PipelineGuard {
     /// Creates a guard.
     pub fn new(cfg: GuardConfig) -> Self {
         Self { cfg, ..Self::default() }
-    }
-
-    /// The active config.
-    pub fn config(&self) -> &GuardConfig {
-        &self.cfg
     }
 
     /// Every trip so far, in frame order.
@@ -353,7 +343,7 @@ mod tests {
             &clean_fused(),
             &MotionPlan::EmergencyStop,
         );
-        assert!(verdict.is_clean());
+        assert!(verdict.violations.is_empty());
         assert_eq!(g.stats(), &GuardStats::default());
     }
 
@@ -412,7 +402,7 @@ mod tests {
         let fused = clean_fused();
         let plan = MotionPlan::EmergencyStop;
         let ok = g.check_frame(0, 0.0, None, &[], Some(Pose2::identity()), &fused, &plan);
-        assert!(ok.is_clean());
+        assert!(ok.violations.is_empty());
         // Teleport: trips LOC.
         let bad =
             g.check_frame(1, 0.1, None, &[], Some(Pose2::new(500.0, 0.0, 0.0)), &fused, &plan);
@@ -421,7 +411,7 @@ mod tests {
         // continuation from the *new* position does not re-trip.
         let next =
             g.check_frame(2, 0.2, None, &[], Some(Pose2::new(500.5, 0.0, 0.0)), &fused, &plan);
-        assert!(next.is_clean());
+        assert!(next.violations.is_empty());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! guard closes the detection gap in two layers:
 //!
 //! * **Checksummed data plane** ([`digest`]): a fast FNV-style digest
-//!   over image/tensor/detection buffers computed where the payload is
-//!   produced and re-verified where it is consumed, with an opt-in
+//!   of the camera frame, computed where the frame is produced and
+//!   re-verified where it is consumed, with an opt-in
 //!   dual-execution vote (one re-delivery) that separates transient
 //!   transport corruption from persistent sensor outages.
 //! * **Invariant monitors** ([`monitors`]): semantic checks at each
@@ -48,10 +48,6 @@ mod digest;
 mod guard;
 pub mod monitors;
 
-pub use digest::{
-    digest_bytes, digest_detections, digest_image, digest_poses, digest_tensor, Digest, Hasher,
-};
-pub use guard::{
-    DataVerdict, FrameVerdict, GuardConfig, GuardEvent, GuardStats, PipelineGuard,
-};
+pub use digest::{digest_image, Digest, Hasher};
+pub use guard::{DataVerdict, FrameVerdict, GuardConfig, GuardEvent, GuardStats, PipelineGuard};
 pub use monitors::{Monitor, Violation};

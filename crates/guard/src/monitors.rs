@@ -180,7 +180,7 @@ pub enum Violation {
 /// Checks the DET → TRA hand-off: every box inside the frame (within
 /// `BBOX_MARGIN`), positive sane extents, finite in-range scores,
 /// and no same-class pair overlapping beyond `NMS_IOU_BOUND`.
-pub fn check_detections(dets: &[Detection]) -> Vec<Violation> {
+pub(crate) fn check_detections(dets: &[Detection]) -> Vec<Violation> {
     let mut out = Vec::new();
     let m = BBOX_MARGIN;
     for d in dets {
@@ -217,7 +217,7 @@ pub fn check_detections(dets: &[Detection]) -> Vec<Violation> {
 /// normalized units between frames. Fresh tracks (absent last frame)
 /// and re-associations after misses are exempt — only smooth tracked
 /// motion is bounded.
-pub fn check_tracks(
+pub(crate) fn check_tracks(
     prev: &[TrackedObject],
     curr: &[TrackedObject],
     ego_motion_m: f64,
@@ -246,7 +246,7 @@ pub fn check_tracks(
 ///
 /// `prev` is the previous *accepted* (pose, time) pair; pass `None`
 /// on the first frame or after a lock-loss gap (the envelope restarts).
-pub fn check_pose(prev: Option<(Pose2, f64)>, pose: Pose2, time_s: f64) -> Vec<Violation> {
+pub(crate) fn check_pose(prev: Option<(Pose2, f64)>, pose: Pose2, time_s: f64) -> Vec<Violation> {
     let mut out = Vec::new();
     if !(pose.x.is_finite() && pose.y.is_finite() && pose.theta.is_finite()) {
         out.push(Violation::NonFinitePose);
@@ -285,7 +285,7 @@ pub fn check_pose(prev: Option<(Pose2, f64)>, pose: Pose2, time_s: f64) -> Vec<V
 ///   from the obstacle's current position. The fraction and the short
 ///   horizon absorb the model gap between the planner's Frenet
 ///   prediction and the guard's Cartesian one.
-pub fn check_plan(
+pub(crate) fn check_plan(
     prev_speed_mps: Option<f64>,
     fused: &FusedFrame,
     plan: &MotionPlan,

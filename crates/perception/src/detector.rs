@@ -131,26 +131,11 @@ impl YoloDetector {
         }
     }
 
-    /// The active output grid (scales with the resolution knob).
-    pub fn grid(&self) -> usize {
-        self.grid
-    }
-
-    /// The active model variant.
-    pub fn variant(&self) -> DetectorVariant {
-        self.variant
-    }
-
     /// Runs the detection network's kernels on the given worker pool.
     /// Detections are identical on any thread count.
     pub fn with_runtime(mut self, rt: Runtime) -> Self {
         self.runtime = rt;
         self
-    }
-
-    /// The underlying network (for cost analysis).
-    pub fn network(&self) -> &Network {
-        &self.net
     }
 }
 
@@ -551,18 +536,18 @@ mod tests {
     fn yolo_quality_switch_is_shared_cache_backed() {
         use adsim_dnn::models::{yolo_tiny_shared, yolo_v2_tiny_shared};
         let mut det = YoloDetector::new(4, 0.5);
-        assert_eq!(det.variant(), DetectorVariant::Reduced);
-        assert!(det.network().shares_weights(&yolo_tiny_shared(4)), "default is the tiny cache");
+        assert_eq!(det.variant, DetectorVariant::Reduced);
+        assert!(det.net.shares_weights(&yolo_tiny_shared(4)), "default is the tiny cache");
         det.set_quality(1.0, DetectorVariant::Full);
-        assert_eq!(det.variant(), DetectorVariant::Full);
-        assert_eq!(det.grid(), 4);
+        assert_eq!(det.variant, DetectorVariant::Full);
+        assert_eq!(det.grid, 4);
         assert!(
-            det.network().shares_weights(&yolo_v2_tiny_shared(4)),
+            det.net.shares_weights(&yolo_v2_tiny_shared(4)),
             "variant switch clones from the v2 cache — no weight copy"
         );
         det.set_quality(0.5, DetectorVariant::Reduced);
-        assert_eq!(det.grid(), 2, "resolution knob halves the grid");
-        assert!(det.network().shares_weights(&yolo_tiny_shared(2)));
+        assert_eq!(det.grid, 2, "resolution knob halves the grid");
+        assert!(det.net.shares_weights(&yolo_tiny_shared(2)));
     }
 
     #[test]

@@ -145,16 +145,6 @@ impl MotAccumulator {
             self.matches as f64 / self.truth_total as f64
         }
     }
-
-    /// Identity switches observed.
-    pub fn id_switches(&self) -> usize {
-        self.id_switches
-    }
-
-    /// False positives observed.
-    pub fn false_positives(&self) -> usize {
-        self.false_positives
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +167,7 @@ mod tests {
         assert_eq!(acc.mota(), 1.0);
         assert!(acc.motp() > 0.99);
         assert_eq!(acc.recall(), 1.0);
-        assert_eq!(acc.id_switches(), 0);
+        assert_eq!(acc.id_switches, 0);
     }
 
     #[test]
@@ -189,7 +179,7 @@ mod tests {
         acc.observe_boxes(&[], &[(9, BBox::new(0.2, 0.2, 0.1, 0.1))]);
         // MOTA = 1 - (1 + 1 + 0) / 1 = -1.
         assert_eq!(acc.mota(), -1.0);
-        assert_eq!(acc.false_positives(), 1);
+        assert_eq!(acc.false_positives, 1);
     }
 
     #[test]
@@ -200,7 +190,7 @@ mod tests {
         acc.observe_boxes(&[tb(1, 0.5)], &[(100, b)]);
         acc.observe_boxes(&[tb(1, 0.5)], &[(200, b)]); // switch
         acc.observe_boxes(&[tb(1, 0.5)], &[(200, b)]); // stable again
-        assert_eq!(acc.id_switches(), 1);
+        assert_eq!(acc.id_switches, 1);
         // MOTA = 1 - 1/4.
         assert!((acc.mota() - 0.75).abs() < 1e-12);
     }
@@ -216,7 +206,7 @@ mod tests {
         ];
         acc.observe_boxes(&truth, &tracks);
         assert_eq!(acc.assignments[&1], 2);
-        assert_eq!(acc.false_positives(), 1);
+        assert_eq!(acc.false_positives, 1);
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl TrackerPool {
     }
 
     /// The tracked-object table, sorted by track id.
-    pub fn table(&self) -> Vec<TrackedObject> {
+    pub(crate) fn table(&self) -> Vec<TrackedObject> {
         let mut rows: Vec<TrackedObject> = self.tracks.values().map(|(_, t)| *t).collect();
         rows.sort_by_key(|t| t.track_id);
         rows

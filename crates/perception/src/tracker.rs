@@ -69,8 +69,7 @@ impl std::fmt::Debug for GoturnTracker {
 
 impl GoturnTracker {
     /// Creates a tracker anchored on `bbox` in `frame`. The regression
-    /// network runs serially; use [`GoturnTracker::with_runtime`] to
-    /// parallelize it.
+    /// network runs serially.
     ///
     /// Every tracker clones the process-wide shared model
     /// ([`goturn_tiny_shared`]), so a pool of N trackers holds one copy
@@ -79,18 +78,6 @@ impl GoturnTracker {
     pub fn new(frame: &GrayImage, bbox: BBox) -> Self {
         let prev_crop = crop_box(frame, &bbox, 1.0);
         Self { net: goturn_tiny_shared(), bbox, prev_crop, runtime: Runtime::serial() }
-    }
-
-    /// Runs the tracker's network kernels on the given worker pool.
-    /// Predicted boxes are identical on any thread count.
-    pub fn with_runtime(mut self, rt: Runtime) -> Self {
-        self.runtime = rt;
-        self
-    }
-
-    /// FLOPs of one update (the DNN forward pass).
-    pub fn flops_per_update(&self) -> u64 {
-        self.net.cost().expect("built network").total.flops
     }
 }
 
@@ -319,7 +306,8 @@ mod tests {
         let bbox = target_box(0.5, 0.5);
         let mut a = GoturnTracker::new(&f0, bbox);
         // The parallel runtime must not perturb the regression.
-        let mut b = GoturnTracker::new(&f0, bbox).with_runtime(Runtime::new(4));
+        let mut b = GoturnTracker::new(&f0, bbox);
+        b.runtime = Runtime::new(4);
         let f1 = frame_with_target(0.52, 0.5);
         let ba = a.update(&f1);
         let bb = b.update(&f1);
@@ -334,7 +322,7 @@ mod tests {
     fn goturn_flops_are_substantial() {
         let f = frame_with_target(0.5, 0.5);
         let t = GoturnTracker::new(&f, target_box(0.5, 0.5));
-        assert!(t.flops_per_update() > 100_000);
+        assert!(t.net.cost().unwrap().total.flops > 100_000);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl AdaptiveCruise {
         Self { params }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> IdmParams {
-        self.params
-    }
-
     /// Commanded acceleration (m/s²) given the ego speed and,
     /// optionally, the gap to and speed of a lead vehicle.
     ///
@@ -90,20 +85,23 @@ impl AdaptiveCruise {
             }
         }
     }
-
-    /// Steady-state following gap at a common speed (solves
-    /// `accel = 0` for equal speeds).
-    pub fn equilibrium_gap(&self, speed_mps: f64) -> f64 {
-        let p = &self.params;
-        let desired = p.min_gap_m + speed_mps * p.time_headway_s;
-        let free_term = 1.0 - (speed_mps / p.desired_speed_mps).powf(p.delta);
-        desired / free_term.max(1e-9).sqrt()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AdaptiveCruise {
+        /// Steady-state following gap at a common speed (solves
+        /// `accel = 0` for equal speeds): the analytic reference the
+        /// simulated following distance is checked against.
+        fn equilibrium_gap(&self, speed_mps: f64) -> f64 {
+            let p = &self.params;
+            let desired = p.min_gap_m + speed_mps * p.time_headway_s;
+            let free_term = 1.0 - (speed_mps / p.desired_speed_mps).powf(p.delta);
+            desired / free_term.max(1e-9).sqrt()
+        }
+    }
 
     fn acc() -> AdaptiveCruise {
         AdaptiveCruise::new(IdmParams::cruise(30.0))

@@ -21,7 +21,7 @@ impl Centerline {
     ///
     /// Panics if fewer than two points are supplied or consecutive
     /// points coincide.
-    pub fn new(points: Vec<Point2>) -> Self {
+    pub(crate) fn new(points: Vec<Point2>) -> Self {
         assert!(points.len() >= 2, "a centerline needs at least two points");
         let mut stations = vec![0.0];
         for pair in points.windows(2) {
@@ -38,13 +38,13 @@ impl Centerline {
     }
 
     /// Total length (m).
-    pub fn length(&self) -> f64 {
+    pub(crate) fn length(&self) -> f64 {
         *self.stations.last().expect("nonempty")
     }
 
     /// The pose at a station: position on the centerline plus road
     /// heading. Stations are clamped to `[0, length]`.
-    pub fn pose_at(&self, station: f64) -> Pose2 {
+    pub(crate) fn pose_at(&self, station: f64) -> Pose2 {
         let s = station.clamp(0.0, self.length());
         let idx = match self
             .stations
@@ -63,7 +63,7 @@ impl Centerline {
 
     /// World position of a (station, lateral-offset) road coordinate;
     /// positive lateral is to the left of travel.
-    pub fn frenet_to_world(&self, station: f64, lateral: f64) -> Point2 {
+    pub(crate) fn frenet_to_world(&self, station: f64, lateral: f64) -> Point2 {
         let pose = self.pose_at(station);
         pose.transform(Point2::new(0.0, lateral))
     }

@@ -36,7 +36,6 @@ mod adsim_perception_types {
         }
     }
 }
-
 pub use adsim_perception_types::TrackedLike;
 
 /// A tracked object projected into world coordinates.

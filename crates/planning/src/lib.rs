@@ -39,5 +39,5 @@ pub use acc::{AdaptiveCruise, IdmParams};
 pub use conformal::{Centerline, ConformalPlanner, RoadObstacle, Trajectory};
 pub use fusion::{FusedFrame, FusedObject, FusionEngine, TrackedLike};
 pub use lattice::{LatticePlanner, Obstacle, Path};
-pub use mission::{MissionPlanner, RoadEdge, RoadGraph, Route};
+pub use mission::{MissionPlanner, RoadGraph, Route};
 pub use motion::{Environment, MotionPlan, MotionPlanner};

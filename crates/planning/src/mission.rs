@@ -8,7 +8,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 /// A directed road segment between two intersections.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoadEdge {
+pub(crate) struct RoadEdge {
     /// Destination node.
     pub to: usize,
     /// Segment length (m).
@@ -53,13 +53,8 @@ impl RoadGraph {
     }
 
     /// Number of intersections.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Whether the graph has no intersections.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Position of a node.
@@ -67,13 +62,13 @@ impl RoadGraph {
     /// # Panics
     ///
     /// Panics if the id is unknown.
-    pub fn position(&self, node: usize) -> Point2 {
+    pub(crate) fn position(&self, node: usize) -> Point2 {
         self.nodes[node]
     }
 
     /// Fastest route (by travel time under speed limits) between two
     /// intersections, or `None` if disconnected.
-    pub fn route(&self, from: usize, to: usize) -> Option<Route> {
+    pub(crate) fn route(&self, from: usize, to: usize) -> Option<Route> {
         #[derive(PartialEq)]
         struct Entry(f64, usize);
         impl Eq for Entry {}

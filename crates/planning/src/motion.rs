@@ -87,11 +87,6 @@ impl MotionPlanner {
         self
     }
 
-    /// The active environment.
-    pub fn environment(&self) -> &Environment {
-        &self.environment
-    }
-
     /// Plans one step from the fused world state.
     pub fn plan(&self, fused: &FusedFrame) -> MotionPlan {
         match &self.environment {

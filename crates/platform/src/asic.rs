@@ -40,7 +40,7 @@ impl FeAsicSpec {
 
     /// rBRIEF iterations per feature descriptor (one binary test per
     /// cycle, Fig. 9).
-    pub const BRIEF_ITERATIONS: u32 = 256;
+    pub(crate) const BRIEF_ITERATIONS: u32 = 256;
 
     /// Time to describe `features` keypoints, assuming the pipelined
     /// one-test-per-cycle design.

@@ -36,12 +36,10 @@
 pub mod asic;
 pub mod contention;
 mod model;
-pub mod roofline;
 mod spec;
 mod variability;
 
 pub use asic::FeAsicSpec;
-pub use model::{resolution_scale, Component, ComponentModel, LatencyModel, Platform};
-pub use roofline::Roofline;
+pub use model::{resolution_scale, Component, LatencyModel, Platform};
 pub use spec::{table2, PlatformSpec};
 pub use variability::TailShape;

@@ -87,7 +87,7 @@ impl std::fmt::Display for Platform {
 
 /// Calibrated behaviour of one component on one platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComponentModel {
+pub(crate) struct ComponentModel {
     /// Mean latency at the reference (KITTI) resolution (ms).
     pub mean_ms: f64,
     /// p99.99 / mean ratio the distribution is shaped to.
@@ -101,7 +101,7 @@ pub struct ComponentModel {
 
 impl ComponentModel {
     /// Analytic p99.99 latency at the reference resolution (ms).
-    pub fn p99_99_ms(&self) -> f64 {
+    pub(crate) fn p99_99_ms(&self) -> f64 {
         self.mean_ms * self.tail_ratio
     }
 }
@@ -179,13 +179,6 @@ impl LatencyModel {
             },
         );
         Self { table }
-    }
-
-    /// The model for one (component, platform) pair, or `None` when
-    /// the paper does not evaluate the pair (fusion and motion
-    /// planning exist only on the CPU).
-    pub fn component(&self, c: Component, p: Platform) -> Option<&ComponentModel> {
-        self.table.get(&(c, p))
     }
 
     /// Analytic mean latency, scaled by a workload factor (see
@@ -269,7 +262,7 @@ mod tests {
         assert_eq!(m.mean_ms(Component::Detection, Platform::Cpu, 1.0), 7150.0);
         assert_eq!(m.p99_99_ms(Component::Tracking, Platform::Cpu, 1.0), 1334.0);
         assert_eq!(m.power_w(Component::Localization, Platform::Asic), 0.1);
-        assert!(m.component(Component::Fusion, Platform::Gpu).is_none());
+        assert!(!m.table.contains_key(&(Component::Fusion, Platform::Gpu)));
     }
 
     #[test]

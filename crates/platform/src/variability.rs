@@ -21,7 +21,7 @@ pub struct TailShape {
 
 impl TailShape {
     /// A deterministic (mean ≈ tail) shape with residual jitter.
-    pub fn deterministic() -> Self {
+    pub(crate) fn deterministic() -> Self {
         Self { sigma: 0.002, spike_prob: 0.0, spike_mult: 1.0 }
     }
 
@@ -64,7 +64,7 @@ impl TailShape {
 
     /// Expected value of the multiplier this shape applies (used to
     /// re-normalize so the configured mean is preserved).
-    pub fn mean_multiplier(&self) -> f64 {
+    pub(crate) fn mean_multiplier(&self) -> f64 {
         // Body is normalized to mean 1; spikes add (mult − 1)·p.
         1.0 + self.spike_prob * (self.spike_mult - 1.0)
     }

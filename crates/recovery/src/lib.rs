@@ -48,14 +48,14 @@ impl RecoveryPolicy {
     }
 
     /// The effective interval (never 0).
-    pub fn interval(&self) -> u64 {
+    pub(crate) fn interval(&self) -> u64 {
         self.checkpoint_interval.max(1)
     }
 
     /// Whether a checkpoint is due before processing frame `index`.
     /// Frame 0's checkpoint is taken unconditionally by the driver, so
     /// this fires only on later interval boundaries.
-    pub fn due(&self, index: u64) -> bool {
+    pub(crate) fn due(&self, index: u64) -> bool {
         index > 0 && index.is_multiple_of(self.interval())
     }
 }
@@ -134,11 +134,10 @@ pub struct RecoveryCoordinator<C> {
     checkpoints: u64,
     checkpoint_bytes: u64,
     restarts_used: u32,
-    log: Vec<CrashRecord>,
 }
 
 impl<C> RecoveryCoordinator<C> {
-    /// A coordinator with an empty ledger and full restart budget.
+    /// A coordinator with no checkpoint and a full restart budget.
     pub fn new(policy: RecoveryPolicy) -> Self {
         Self {
             policy,
@@ -146,13 +145,7 @@ impl<C> RecoveryCoordinator<C> {
             checkpoints: 0,
             checkpoint_bytes: 0,
             restarts_used: 0,
-            log: Vec::new(),
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
     }
 
     /// Whether a checkpoint is due before processing frame `index`.
@@ -187,11 +180,6 @@ impl<C> RecoveryCoordinator<C> {
         }
     }
 
-    /// Appends a contained crash to the audit ledger.
-    pub fn record(&mut self, record: CrashRecord) {
-        self.log.push(record);
-    }
-
     /// Checkpoints taken so far.
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints
@@ -200,16 +188,6 @@ impl<C> RecoveryCoordinator<C> {
     /// Peak approximate checkpoint footprint seen (bytes).
     pub fn checkpoint_bytes(&self) -> u64 {
         self.checkpoint_bytes
-    }
-
-    /// Restarts consumed from the budget.
-    pub fn restarts_used(&self) -> u32 {
-        self.restarts_used
-    }
-
-    /// The contained-crash ledger, in crash order.
-    pub fn log(&self) -> &[CrashRecord] {
-        &self.log
     }
 }
 
@@ -259,7 +237,7 @@ mod tests {
         c.store(8, 1, 250);
         assert_eq!(c.on_crash(), Some(CrashAction::Restart { checkpoint_frame: 8 }));
         assert_eq!(c.on_crash(), Some(CrashAction::Exhausted { checkpoint_frame: 8 }));
-        assert_eq!(c.restarts_used(), 2);
+        assert_eq!(c.restarts_used, 2);
         assert_eq!(c.checkpoints(), 2);
         assert_eq!(c.checkpoint_bytes(), 250, "peak footprint");
     }

@@ -93,7 +93,7 @@ impl PanicSlot {
 
 /// Minimum number of scalar operations below which parallel dispatch is
 /// not worth a scope spawn (see [`Runtime::for_work`]).
-pub const PAR_WORK_THRESHOLD: usize = 16 * 1024;
+pub(crate) const PAR_WORK_THRESHOLD: usize = 16 * 1024;
 
 /// A copyable fork-join worker-pool handle.
 ///
@@ -158,7 +158,7 @@ impl Runtime {
     /// state with `init` and threads it through every task it executes,
     /// so a kernel can reuse one scratch buffer per worker instead of
     /// allocating per task.
-    pub fn run_with_state<S>(
+    pub(crate) fn run_with_state<S>(
         &self,
         n_tasks: usize,
         init: impl Fn() -> S + Sync,

@@ -34,7 +34,6 @@
 //! assert!(map.near(Point2::new(100.0, 0.0), 10.0).is_empty());
 //! ```
 
-pub mod io;
 mod localizer;
 mod map;
 mod motion;
@@ -42,8 +41,7 @@ pub mod odometry;
 mod solve;
 pub mod storage;
 
-pub use io::MapDecodeError;
 pub use localizer::{LocCost, LocalizeOutcome, LocalizeResult, Localizer, LocalizerConfig};
 pub use map::{Landmark, PriorMap, SharedMap};
 pub use motion::MotionModel;
-pub use solve::{estimate_pose, estimate_pose_with, Correspondence, PoseEstimate};
+pub use solve::{estimate_pose, Correspondence, PoseEstimate};

@@ -151,7 +151,7 @@ impl Localizer {
 
     /// Runs the RANSAC pose-solve scoring on the given worker pool.
     /// Results are bit-identical on any thread count (see
-    /// [`estimate_pose_with`]).
+    /// `estimate_pose_with`).
     #[must_use]
     pub fn with_runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;

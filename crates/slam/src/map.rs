@@ -63,14 +63,9 @@ impl PriorMap {
         self.landmarks.is_empty()
     }
 
-    /// All landmarks in insertion order.
-    pub fn landmarks(&self) -> &[Landmark] {
-        &self.landmarks
-    }
-
     /// Inserts a landmark (used by the map-update step when current
     /// surroundings differ from the prior map).
-    pub fn insert(&mut self, lm: Landmark) {
+    pub(crate) fn insert(&mut self, lm: Landmark) {
         let idx = self.landmarks.len();
         self.grid.entry(Self::cell(lm.position)).or_default().push(idx);
         self.next_id = self.next_id.max(lm.id + 1);
@@ -120,7 +115,7 @@ impl PriorMap {
 /// land in its own small [`PriorMap`] overlay, preserving the
 /// shared-nothing mutation model the fleet engine requires.
 ///
-/// Queries ([`near`](SharedMap::near)) see prior landmarks first, then
+/// Queries (`near`) see prior landmarks first, then
 /// overlay landmarks; overlay ids continue where the prior's allocation
 /// left off, so ids stay unique across both layers.
 ///
@@ -149,29 +144,19 @@ impl SharedMap {
         Self { prior, overlay }
     }
 
-    /// The shared read-only prior.
-    pub fn prior(&self) -> &Arc<PriorMap> {
-        &self.prior
-    }
-
     /// This vehicle's private overlay (landmarks added by map update).
     pub fn overlay(&self) -> &PriorMap {
         &self.overlay
     }
 
     /// Total landmarks visible to queries (prior + overlay).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.prior.len() + self.overlay.len()
-    }
-
-    /// Whether neither layer holds any landmarks.
-    pub fn is_empty(&self) -> bool {
-        self.prior.is_empty() && self.overlay.is_empty()
     }
 
     /// Landmarks within `radius` meters of `center`: prior hits first,
     /// then overlay hits.
-    pub fn near(&self, center: Point2, radius: f64) -> Vec<&Landmark> {
+    pub(crate) fn near(&self, center: Point2, radius: f64) -> Vec<&Landmark> {
         let mut out = self.prior.near(center, radius);
         out.extend(self.overlay.near(center, radius));
         out
@@ -179,7 +164,7 @@ impl SharedMap {
 
     /// Inserts a new landmark into the private overlay with a freshly
     /// allocated id (unique across prior and overlay), returning it.
-    pub fn insert_new(&mut self, position: Point2, descriptor: Descriptor) -> u64 {
+    pub(crate) fn insert_new(&mut self, position: Point2, descriptor: Descriptor) -> u64 {
         self.overlay.insert_new(position, descriptor)
     }
 
@@ -287,7 +272,6 @@ mod tests {
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].id, 0, "prior hits come first");
         assert_eq!(shared.len(), 2);
-        assert!(!shared.is_empty());
     }
 
     #[test]

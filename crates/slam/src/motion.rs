@@ -1,4 +1,4 @@
-use adsim_vision::{geometry::normalize_angle, Pose2};
+use adsim_vision::Pose2;
 
 /// Constant-velocity motion model (paper Fig. 5: "Pose Prediction
 /// (Motion Model)").
@@ -53,23 +53,13 @@ impl MotionModel {
     }
 
     /// Last confirmed pose, if any.
-    pub fn last_pose(&self) -> Option<Pose2> {
+    pub(crate) fn last_pose(&self) -> Option<Pose2> {
         self.last
     }
 
     /// Resets all history (after relocalization from scratch).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self::default();
-    }
-
-    /// Estimated speed in meters per frame (0 with insufficient history).
-    pub fn speed(&self) -> f64 {
-        self.delta.map_or(0.0, |d| d.translation().norm())
-    }
-
-    /// Estimated yaw rate in radians per frame.
-    pub fn yaw_rate(&self) -> f64 {
-        self.delta.map_or(0.0, |d| normalize_angle(d.theta))
     }
 }
 
@@ -96,7 +86,7 @@ mod tests {
         mm.observe(Pose2::new(2.0, 0.0, 0.0));
         let p = mm.predict();
         assert!((p.x - 4.0).abs() < 1e-9 && p.y.abs() < 1e-9);
-        assert!((mm.speed() - 2.0).abs() < 1e-9);
+        assert!((mm.delta.unwrap().translation().norm() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -110,7 +100,7 @@ mod tests {
         // The same body-frame delta applied again: forward is now +y.
         assert!((p.x - 1.0).abs() < 1e-9, "{p:?}");
         assert!((p.y - 1.0).abs() < 1e-9, "{p:?}");
-        assert!((mm.yaw_rate() - FRAC_PI_2).abs() < 1e-9);
+        assert!((mm.delta.unwrap().theta - FRAC_PI_2).abs() < 1e-9);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl WheelOdometry {
 
     /// The measured body-frame increment for a true motion of
     /// `(ds, dtheta)`.
-    pub fn measure(&self, ds: f64, dtheta: f64) -> (f64, f64) {
+    pub(crate) fn measure(&self, ds: f64, dtheta: f64) -> (f64, f64) {
         (ds * self.distance_scale, dtheta * self.yaw_scale)
     }
 }

@@ -70,7 +70,7 @@ pub fn estimate_pose(corrs: &[Correspondence], min_inliers: usize) -> Option<Pos
 /// winner is then selected by replaying the serial first-wins argmax
 /// over those slots, so the result is bit-identical on any thread
 /// count (pinned by the `ransac` parity tests).
-pub fn estimate_pose_with(
+pub(crate) fn estimate_pose_with(
     rt: &Runtime,
     corrs: &[Correspondence],
     min_inliers: usize,

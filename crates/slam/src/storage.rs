@@ -10,7 +10,7 @@
 pub const US_MAP_BYTES: u64 = 41_000_000_000_000;
 
 /// Land area of the United States in km², used to derive map density.
-pub const US_AREA_KM2: f64 = 9_830_000.0;
+pub(crate) const US_AREA_KM2: f64 = 9_830_000.0;
 
 /// Bytes of prior map per km² of coverage, derived from the paper's
 /// U.S.-scale figure (≈ 4.2 MB/km²).
@@ -35,12 +35,6 @@ pub fn map_bytes_for_area(area_km2: f64) -> f64 {
     area_km2 * bytes_per_km2()
 }
 
-/// On-disk size of a landmark database: position (16 B), descriptor
-/// (32 B) and index overhead (16 B) per landmark.
-pub fn landmark_db_bytes(landmarks: usize) -> u64 {
-    landmarks as u64 * 64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,12 +50,6 @@ mod tests {
     fn density_is_megabytes_per_km2() {
         let d = bytes_per_km2();
         assert!(d > 3e6 && d < 6e6, "{d}");
-    }
-
-    #[test]
-    fn landmark_db_scales_linearly() {
-        assert_eq!(landmark_db_bytes(0), 0);
-        assert_eq!(landmark_db_bytes(1000), 64_000);
     }
 
     #[test]

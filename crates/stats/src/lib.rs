@@ -52,7 +52,7 @@ pub enum Quantile {
 
 impl Quantile {
     /// The quantile as a fraction in `[0, 1]`.
-    pub fn fraction(self) -> f64 {
+    pub(crate) fn fraction(self) -> f64 {
         match self {
             Quantile::P50 => 0.50,
             Quantile::P95 => 0.95,

@@ -65,7 +65,7 @@ impl LatencyRecorder {
     }
 
     /// Arithmetic mean of the samples, or 0 for an empty recorder.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -138,14 +138,6 @@ impl LatencyRecorder {
     /// Builds a histogram over the samples with `bins` equal-width bins.
     pub fn histogram(&self, bins: usize) -> Histogram {
         Histogram::from_samples(&self.samples, bins)
-    }
-
-    /// A view of the raw samples in insertion order is intentionally not
-    /// exposed; the sorted samples are, since quantile computation already
-    /// requires the sort.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
     }
 
     fn ensure_sorted(&mut self) {
@@ -228,12 +220,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn rejects_negative() {
         LatencyRecorder::new().record(-1.0);
-    }
-
-    #[test]
-    fn sorted_samples_are_sorted() {
-        let mut rec: LatencyRecorder = [3.0, 1.0, 2.0].into_iter().collect();
-        assert_eq!(rec.sorted_samples(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

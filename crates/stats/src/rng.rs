@@ -44,12 +44,12 @@ impl Rng64 {
     }
 
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits of entropy).
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform `f32` in `[0, 1)` (24 mantissa bits of entropy).
-    pub fn next_f32(&mut self) -> f32 {
+    pub(crate) fn next_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 

@@ -34,9 +34,9 @@ pub const FAULT_DATA_MASK: u16 = FAULT_BLACKOUT | FAULT_STUCK | FAULT_CORRUPT;
 
 /// Longest panic message retained in a [`FrameRecord`] — the black box
 /// keeps a bounded excerpt, never the whole backtrace.
-pub const PANIC_MSG_MAX: usize = 96;
+pub(crate) const PANIC_MSG_MAX: usize = 96;
 
-/// Truncates a panic message to [`PANIC_MSG_MAX`] bytes on a char
+/// Truncates a panic message to `PANIC_MSG_MAX` bytes on a char
 /// boundary, marking the cut with an ellipsis.
 pub fn truncate_panic_msg(msg: &str) -> String {
     if msg.len() <= PANIC_MSG_MAX {
@@ -99,7 +99,7 @@ pub struct FrameRecord {
     /// the synthetic crash marker the supervisor pushes on restart).
     pub crashed: bool,
     /// Truncated panic message of the crash (empty when `!crashed`);
-    /// bounded by [`PANIC_MSG_MAX`].
+    /// bounded by `PANIC_MSG_MAX`.
     pub panic_msg: String,
 }
 
@@ -185,11 +185,6 @@ impl FlightRecorder {
         Self { cap, buf: Vec::with_capacity(cap), next: 0, total: 0 }
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Records retained right now (≤ capacity).
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -198,11 +193,6 @@ impl FlightRecorder {
     /// True when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Frames pushed over the recorder's lifetime (wraps included).
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Pushes one frame, overwriting the oldest once full.
@@ -217,7 +207,7 @@ impl FlightRecorder {
     }
 
     /// The retained window, oldest first.
-    pub fn window(&self) -> Vec<FrameRecord> {
+    pub(crate) fn window(&self) -> Vec<FrameRecord> {
         if self.buf.len() < self.cap {
             self.buf.clone()
         } else {
@@ -256,7 +246,7 @@ mod tests {
             r.push(rec(f));
         }
         assert_eq!(r.len(), 4);
-        assert_eq!(r.total(), 10);
+        assert_eq!(r.total, 10);
         assert_eq!(frames(&r), vec![6, 7, 8, 9], "window must be the last cap frames, oldest first");
     }
 
@@ -280,7 +270,7 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert_eq!(frames(&r), vec![6]);
         // Zero capacity clamps to one rather than panicking.
-        assert_eq!(FlightRecorder::new(0).capacity(), 1);
+        assert_eq!(FlightRecorder::new(0).cap, 1);
     }
 
     #[test]

@@ -44,11 +44,11 @@ pub use flight::{
     FAULT_CORRUPT, FAULT_CRASH, FAULT_DATA_MASK, FAULT_DRIFT, FAULT_LOCK_LOSS, FAULT_SPIKE,
     FAULT_STALL, FAULT_STUCK, FAULT_TIME_SKEW, FAULT_TRACKER_SHIFT, MODE_DEAD_RECKONING,
     MODE_QUALITY_REDUCED, MODE_SAFE_STOP, MODE_SPEED_REDUCED, MODE_TRACKER_ONLY, MONITOR_DATA,
-    MONITOR_DETECTION, MONITOR_LOCALIZATION, MONITOR_PLANNER, MONITOR_TRACKER, PANIC_MSG_MAX,
+    MONITOR_DETECTION, MONITOR_LOCALIZATION, MONITOR_PLANNER, MONITOR_TRACKER,
 };
 pub use prometheus::{prometheus_text, validate_prometheus};
 pub use recorder::{
-    counter_add, current_vehicle, drain_thread, enabled, flush_thread, gauge_set, observe_ms,
-    TelemetrySession, VehicleScope,
+    counter_add, drain_thread, enabled, flush_thread, gauge_set, observe_ms, TelemetrySession,
+    VehicleScope,
 };
-pub use registry::{MetricsRegistry, SeriesKey, SeriesValue, NO_VEHICLE};
+pub use registry::{MetricsRegistry, SeriesKey, SeriesValue};

@@ -72,7 +72,7 @@ pub fn enabled() -> bool {
 
 /// The calling thread's ambient vehicle id ([`NO_VEHICLE`] outside any
 /// [`VehicleScope`]).
-pub fn current_vehicle() -> u32 {
+pub(crate) fn current_vehicle() -> u32 {
     VEHICLE.try_with(|v| v.get()).unwrap_or(NO_VEHICLE)
 }
 

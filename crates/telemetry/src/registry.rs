@@ -14,7 +14,7 @@ use adsim_trace::LogHistogram;
 /// Sentinel vehicle id meaning "no vehicle label": series recorded
 /// outside any [`crate::VehicleScope`] (e.g. a bare pipeline run) carry
 /// it and render without a `vehicle` label.
-pub const NO_VEHICLE: u32 = u32::MAX;
+pub(crate) const NO_VEHICLE: u32 = u32::MAX;
 
 /// One series' identity. Label values are `&'static str` by design:
 /// producers use fixed vocabularies (stage names, mode names, trigger
@@ -23,7 +23,7 @@ pub const NO_VEHICLE: u32 = u32::MAX;
 pub struct SeriesKey {
     /// Metric name (`snake_case`, Prometheus-safe charset).
     pub metric: &'static str,
-    /// Vehicle id, or [`NO_VEHICLE`] for unscoped series.
+    /// Vehicle id, or `NO_VEHICLE` for unscoped series.
     pub vehicle: u32,
     /// Stage / sub-label, or `""` for none.
     pub stage: &'static str,
@@ -102,7 +102,13 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if the series exists with a non-counter type.
-    pub fn counter_add(&mut self, metric: &'static str, vehicle: u32, stage: &'static str, n: u64) {
+    pub(crate) fn counter_add(
+        &mut self,
+        metric: &'static str,
+        vehicle: u32,
+        stage: &'static str,
+        n: u64,
+    ) {
         let v = self.slot(SeriesKey { metric, vehicle, stage }, || SeriesValue::Counter(0));
         match v {
             SeriesValue::Counter(c) => *c += n,
@@ -114,7 +120,7 @@ impl MetricsRegistry {
     /// sample with the larger `(frame, value-bits)` rank sticks), so a
     /// gauge's final value is order-invariant over any interleaving of
     /// sets and merges.
-    pub fn gauge_set(
+    pub(crate) fn gauge_set(
         &mut self,
         metric: &'static str,
         vehicle: u32,
@@ -138,7 +144,7 @@ impl MetricsRegistry {
     }
 
     /// Records one observation into a histogram series.
-    pub fn observe_ms(
+    pub(crate) fn observe_ms(
         &mut self,
         metric: &'static str,
         vehicle: u32,
@@ -159,22 +165,6 @@ impl MetricsRegistry {
         match self.get(metric, vehicle, stage) {
             Some(SeriesValue::Counter(c)) => *c,
             _ => 0,
-        }
-    }
-
-    /// Reads a gauge's value.
-    pub fn gauge(&self, metric: &str, vehicle: u32, stage: &str) -> Option<f64> {
-        match self.get(metric, vehicle, stage) {
-            Some(SeriesValue::Gauge { value, .. }) => Some(*value),
-            _ => None,
-        }
-    }
-
-    /// Reads a histogram series.
-    pub fn histogram(&self, metric: &str, vehicle: u32, stage: &str) -> Option<&LogHistogram> {
-        match self.get(metric, vehicle, stage) {
-            Some(SeriesValue::Histogram(h)) => Some(h),
-            _ => None,
         }
     }
 
@@ -215,15 +205,10 @@ impl MetricsRegistry {
     }
 
     /// Series in canonical order (allocates the index, not the data).
-    pub fn sorted(&self) -> Vec<&(SeriesKey, SeriesValue)> {
+    pub(crate) fn sorted(&self) -> Vec<&(SeriesKey, SeriesValue)> {
         let mut v: Vec<&(SeriesKey, SeriesValue)> = self.series.iter().collect();
         v.sort_by_key(|s| s.0);
         v
-    }
-
-    /// Iterates series in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &(SeriesKey, SeriesValue)> {
-        self.series.iter()
     }
 
     /// JSON snapshot of every series in canonical order, rendered by
@@ -268,6 +253,30 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Series readers the tests check merges and exports against.
+    impl MetricsRegistry {
+        /// Reads a gauge's value.
+        pub(crate) fn gauge(&self, metric: &str, vehicle: u32, stage: &str) -> Option<f64> {
+            match self.get(metric, vehicle, stage) {
+                Some(SeriesValue::Gauge { value, .. }) => Some(*value),
+                _ => None,
+            }
+        }
+
+        /// Reads a histogram series.
+        pub(crate) fn histogram(
+            &self,
+            metric: &str,
+            vehicle: u32,
+            stage: &str,
+        ) -> Option<&LogHistogram> {
+            match self.get(metric, vehicle, stage) {
+                Some(SeriesValue::Histogram(h)) => Some(h),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn counters_accumulate_per_key() {

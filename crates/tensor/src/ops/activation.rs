@@ -89,12 +89,7 @@ pub fn sigmoid_with(rt: &Runtime, t: &Tensor) -> Tensor {
     t.map_with(rt, |x| 1.0 / (1.0 + (-x).exp()))
 }
 
-/// Hyperbolic tangent.
-pub fn tanh(t: &Tensor) -> Tensor {
-    t.map(f32::tanh)
-}
-
-/// [`tanh`] on a worker pool.
+/// Hyperbolic tangent on a worker pool.
 pub fn tanh_with(rt: &Runtime, t: &Tensor) -> Tensor {
     t.map_with(rt, f32::tanh)
 }
@@ -133,6 +128,11 @@ pub fn softmax_with(rt: &Runtime, t: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serial reference for [`tanh_with`].
+    fn tanh(t: &Tensor) -> Tensor {
+        t.map(f32::tanh)
+    }
 
     #[test]
     fn relu_clamps_negatives_only() {

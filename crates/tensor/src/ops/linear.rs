@@ -216,12 +216,12 @@ pub(crate) fn matmul_into(
 /// |a|,|b| ≤ 128 every per-element product is ≤ 2¹⁴, so any `k` up to
 /// `i32::MAX / 2¹⁴` accumulates without wrapping. Real networks sit
 /// orders of magnitude below this (YOLO's largest im2col `k` is 9·512).
-pub const MATMUL_I8_MAX_K: usize = (i32::MAX / (128 * 128)) as usize;
+pub(crate) const MATMUL_I8_MAX_K: usize = (i32::MAX / (128 * 128)) as usize;
 
 /// Element length of the pair-packed form of a `[k, n]` int8 B
 /// operand: `⌈k/2⌉` pair rows of `2·n` i16s (an odd trailing row is
 /// zero-padded to a full pair).
-pub fn packed_i8_len(k: usize, n: usize) -> usize {
+pub(crate) fn packed_i8_len(k: usize, n: usize) -> usize {
     k.div_ceil(2) * 2 * n
 }
 
@@ -246,7 +246,7 @@ pub fn packed_i8_len(k: usize, n: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `bv.len() != k * n`.
-pub fn pack_i8_b(bv: &[i8], k: usize, n: usize, out: &mut Vec<i16>) {
+pub(crate) fn pack_i8_b(bv: &[i8], k: usize, n: usize, out: &mut Vec<i16>) {
     assert_eq!(bv.len(), k * n, "pack_i8_b: B length");
     out.clear();
     out.resize(packed_i8_len(k, n), 0);
@@ -282,9 +282,9 @@ thread_local! {
 /// Raw-slice **int8** matmul: `ov[m × n] += av[m × k] · bv[k × n]`
 /// with i8×i8→i32 widening arithmetic (callers pass zeroed output).
 /// Pair-packs `bv` into thread-local scratch and runs
-/// [`matmul_i8_packed_into`]; callers that reuse one B across many
+/// `matmul_i8_packed_into`; callers that reuse one B across many
 /// GEMMs (cached quantized weights) should pack once with
-/// [`pack_i8_b`] and call the packed entry point directly.
+/// `pack_i8_b` and call the packed entry point directly.
 ///
 /// # Panics
 ///
@@ -326,7 +326,7 @@ pub fn matmul_i8_into(
 /// (`bp.len()` must equal [`packed_i8_len`]) or if
 /// `k > MATMUL_I8_MAX_K` (the no-overflow bound).
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_i8_packed_into(
+pub(crate) fn matmul_i8_packed_into(
     rt: &Runtime,
     isa: Isa,
     av: &[i8],

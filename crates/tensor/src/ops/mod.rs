@@ -13,12 +13,11 @@ mod pool;
 
 pub use activation::{
     leaky_relu, leaky_relu_inplace_with, leaky_relu_isa, leaky_relu_with, relu, relu_inplace_with,
-    relu_isa, relu_with, sigmoid, sigmoid_with, softmax, softmax_with, tanh, tanh_with,
+    relu_isa, relu_with, sigmoid, sigmoid_with, softmax, softmax_with, tanh_with,
 };
 pub use conv::{conv2d, conv2d_direct, conv2d_isa, conv2d_with, im2col, im2col_batched};
 pub use linear::{
-    linear, linear_isa, linear_with, matmul, matmul_i8_into, matmul_i8_packed_into, matmul_isa,
-    matmul_with, pack_i8_b, packed_i8_len, MATMUL_I8_MAX_K,
+    linear, linear_isa, linear_with, matmul, matmul_i8_into, matmul_isa, matmul_with,
 };
 pub use norm::{batch_norm, batch_norm_isa, batch_norm_with};
 pub use pool::{

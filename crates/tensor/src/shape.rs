@@ -64,7 +64,7 @@ impl Shape {
 
     /// Row-major strides: the element distance between successive
     /// indices along each axis.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
@@ -78,7 +78,7 @@ impl Shape {
     ///
     /// Panics if the index rank differs from the shape rank or any
     /// coordinate is out of bounds.
-    pub fn offset(&self, index: &[usize]) -> usize {
+    pub(crate) fn offset(&self, index: &[usize]) -> usize {
         assert_eq!(
             index.len(),
             self.dims.len(),

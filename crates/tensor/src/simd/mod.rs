@@ -60,9 +60,6 @@ mod avx2;
 #[cfg(all(target_arch = "aarch64", target_feature = "neon"))]
 mod neon;
 
-/// Lane width of the portable `f32` abstraction (elements per vector).
-pub const LANES: usize = 8;
-
 /// The instruction-set backend a kernel call runs on.
 ///
 /// Only [`Isa::SCALAR`] and the value returned by [`active`] can be

@@ -8,7 +8,7 @@ use std::sync::Arc;
 /// lets a fleet of vehicle pipelines hold one copy of each DNN weight
 /// bank (the workspace's largest allocations) instead of one per
 /// vehicle. Mutation goes through [`Tensor::as_mut_slice`] /
-/// [`Tensor::at_mut`] / [`Tensor::map_inplace`], which copy-on-write:
+/// [`Tensor::at_mut`], which copy-on-write:
 /// a uniquely-owned buffer is mutated in place (the common case for
 /// freshly computed kernel outputs), a shared one is detached first,
 /// so sharing is never observable through the API.
@@ -134,12 +134,6 @@ impl Tensor {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its data in row-major order
-    /// (clones only if the storage is still shared).
-    pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Whether `self` and `other` share the same underlying storage —
     /// the observable form of the fleet's weight-sharing guarantee.
     pub fn ptr_eq(&self, other: &Tensor) -> bool {
@@ -173,25 +167,21 @@ impl Tensor {
     }
 
     /// Applies `f` to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
 
-    /// Applies `f` to every element in place (copy-on-write when the
-    /// storage is shared).
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in Arc::make_mut(&mut self.data) {
-            *x = f(*x);
-        }
-    }
-
     /// [`Tensor::map`] on a worker pool: contiguous spans of elements
     /// go to separate workers. `f` must be pure — spans run in
     /// unspecified order.
-    pub fn map_with(&self, rt: &adsim_runtime::Runtime, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub(crate) fn map_with(
+        &self,
+        rt: &adsim_runtime::Runtime,
+        f: impl Fn(f32) -> f32 + Sync,
+    ) -> Tensor {
         let mut out = self.clone();
         let rt = rt.for_work(out.len());
         let span = out.len().div_ceil(4 * rt.threads()).max(1);
@@ -212,29 +202,6 @@ impl Tensor {
         self.zip_with(rhs, "add", |a, b| a + b)
     }
 
-    /// Element-wise subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.zip_with(rhs, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) multiplication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn mul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.zip_with(rhs, "mul", |a, b| a * b)
-    }
-
-    /// Multiplies every element by a scalar.
-    pub fn scale(&self, factor: f32) -> Tensor {
-        self.map(|x| x * factor)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -244,17 +211,6 @@ impl Tensor {
     /// happen by construction).
     pub fn max(&self) -> f32 {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Index of the largest element in row-major order.
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     fn zip_with(
@@ -339,9 +295,6 @@ mod tests {
         let a = Tensor::from_vec([3], vec![1.0, 2.0, 3.0]).unwrap();
         let b = Tensor::from_vec([3], vec![4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]
@@ -358,7 +311,6 @@ mod tests {
     fn max_and_argmax() {
         let t = Tensor::from_vec([4], vec![1.0, 9.0, 3.0, 9.0]).unwrap();
         assert_eq!(t.max(), 9.0);
-        assert_eq!(t.argmax(), 1, "argmax returns the first maximum");
     }
 
     #[test]
@@ -376,27 +328,9 @@ mod tests {
         assert!(!c.ptr_eq(&a));
         assert_eq!(a.at(&[2]), 3.0);
         let mut d = a.clone();
-        d.map_inplace(|x| x + 1.0);
+        d.as_mut_slice()[0] += 1.0;
         assert!(!d.ptr_eq(&a));
         assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
-    #[test]
-    fn into_vec_round_trips_shared_and_unique() {
-        let a = Tensor::from_vec([3], vec![5.0, 6.0, 7.0]).unwrap();
-        let b = a.clone();
-        // Shared: into_vec clones out.
-        assert_eq!(b.into_vec(), vec![5.0, 6.0, 7.0]);
-        // Unique: into_vec moves the buffer.
-        assert_eq!(a.into_vec(), vec![5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn map_inplace_matches_map() {
-        let t = Tensor::from_vec([3], vec![-1.0, 0.0, 2.0]).unwrap();
-        let mapped = t.map(|x| x.abs());
-        let mut inplace = t.clone();
-        inplace.map_inplace(|x| x.abs());
-        assert_eq!(mapped, inplace);
-    }
 }

@@ -26,7 +26,7 @@ fn category(name: &str) -> &'static str {
 /// `"ph": "C"`. Thread ids come from the recorder; all events share
 /// `"pid": 1`. Indexed span names render as `name#index` so e.g. DNN
 /// layers and ORB pyramid levels stay distinguishable on the timeline.
-pub fn chrome_trace_json(events: &[Event]) -> String {
+pub(crate) fn chrome_trace_json(events: &[Event]) -> String {
     let events = events.iter().map(|e| {
         let name = match e.index {
             NO_INDEX => e.name.to_string(),

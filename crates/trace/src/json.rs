@@ -180,7 +180,7 @@ fn write_str(out: &mut String, s: &str) {
 /// Parses one complete JSON document (RFC 8259); trailing
 /// non-whitespace is an error.
 pub fn parse(s: &str) -> Result<Value, String> {
-    let mut p = Parser { b: s.as_bytes(), pos: 0 };
+    let mut p = Parser { s, b: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -191,6 +191,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -298,17 +299,28 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            let unit = self
+                                .hex4(self.pos + 1)
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            // Surrogate pairs don't occur in bench
-                            // output; map unpaired surrogates to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                             self.pos += 4;
+                            // A high surrogate joins the `\uXXXX` low
+                            // surrogate right after it into one scalar;
+                            // any other surrogate decodes to U+FFFD.
+                            let low = if (0xD800..0xDC00).contains(&unit)
+                                && self.b.get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..])
+                            {
+                                self.hex4(self.pos + 3).filter(|lo| (0xDC00..0xE000).contains(lo))
+                            } else {
+                                None
+                            };
+                            let scalar = match low {
+                                Some(lo) => {
+                                    self.pos += 6;
+                                    0x10000 + ((unit - 0xD800) << 10) + (lo - 0xDC00)
+                                }
+                                None => unit,
+                            };
+                            out.push(char::from_u32(scalar).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
@@ -318,17 +330,31 @@ impl Parser<'_> {
                     return Err(format!("raw control byte in string at {}", self.pos))
                 }
                 Some(_) => {
-                    // Advance one UTF-8 scalar (input is &str, so byte
-                    // boundaries are known-good).
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| format!("non-UTF-8 string at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one slice: those are all ASCII,
+                    // so the run ends on a char boundary of the input.
+                    let start = self.pos;
+                    while self
+                        .b
+                        .get(self.pos)
+                        .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.s[start..self.pos]);
                 }
                 None => return Err("unterminated string".into()),
             }
         }
+    }
+
+    /// The four hex digits at `at` as a UTF-16 code unit.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.s.get(at..at + 4)?;
+        if !digits.bytes().all(|c| c.is_ascii_hexdigit()) {
+            return None;
+        }
+        u32::from_str_radix(digits, 16).ok()
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -413,6 +439,31 @@ mod tests {
         let Value::Arr(cells) = v.get("cells").unwrap() else { panic!("cells is an array") };
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[1].get("mix").and_then(Value::as_str), Some("data"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_become_replacement_chars() {
+        let v = parse(r#"["\uD83D\uDE00", "\uD83D", "\uDE00x", "\uD83Dx", "\uD83D\u0041"]"#)
+            .unwrap();
+        let Value::Arr(items) = v else { panic!("array") };
+        let strs: Vec<&str> = items.iter().filter_map(Value::as_str).collect();
+        assert_eq!(strs, ["\u{1F600}", "\u{FFFD}", "\u{FFFD}x", "\u{FFFD}x", "\u{FFFD}A"]);
+    }
+
+    #[test]
+    fn multi_megabyte_documents_parse_in_linear_time() {
+        // ~4 MB of short strings. A parser that re-validates the rest of
+        // the document per character needs minutes here, not seconds.
+        let row = |i: usize| {
+            obj([("name", format!("span-{i} — é\t\"q\"").into()), ("ns", i.into())])
+        };
+        let doc = Value::Arr((0..90_000).map(row).collect());
+        let text = render(&doc);
+        assert!(text.len() > 4_000_000, "document is {} bytes", text.len());
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap(), doc);
+        let secs = start.elapsed().as_secs_f64();
+        assert!(secs < 10.0, "parsing {} bytes took {secs:.1} s", text.len());
     }
 
     #[test]

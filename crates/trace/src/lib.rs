@@ -51,11 +51,11 @@ mod loghist;
 mod recorder;
 mod summary;
 
-pub use chrome::{chrome_trace_json, validate_json};
-pub use loghist::{LogHistogram, BUCKETS_PER_OCTAVE};
+pub use chrome::validate_json;
+pub use loghist::LogHistogram;
 pub use recorder::{
-    counter, enabled, flush_thread, instant, instant_at, now_ns, span, span_at, Event, EventKind,
-    Span, Trace, TraceSession, NO_INDEX,
+    counter, enabled, flush_thread, instant, instant_at, span, span_at, Event, EventKind, Span,
+    Trace, TraceSession,
 };
 pub use summary::{worker_utilization, SpanSummary, TraceSummary, WorkerUtilization};
 

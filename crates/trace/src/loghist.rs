@@ -3,7 +3,7 @@
 /// reported quantile is within ±9.05% of the exact sample value, far
 /// below the run-to-run variance of any wall-clock measurement, at a
 /// fixed 2.4 KiB per tracked span name.
-pub const BUCKETS_PER_OCTAVE: usize = 8;
+pub(crate) const BUCKETS_PER_OCTAVE: usize = 8;
 
 /// Smallest representable latency (ms): one nanosecond. Anything
 /// smaller clamps into the first bucket.

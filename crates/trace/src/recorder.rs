@@ -5,7 +5,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Sentinel for "no disambiguating index" on an event (plain spans).
-pub const NO_INDEX: u32 = u32::MAX;
+pub(crate) const NO_INDEX: u32 = u32::MAX;
 
 /// What one recorded event is.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,7 +35,7 @@ pub struct Event {
     /// Static event name (the span taxonomy in DESIGN.md §8).
     pub name: &'static str,
     /// Disambiguator within a name (layer index, pyramid octave,
-    /// worker id, frame number); [`NO_INDEX`] when unused.
+    /// worker id, frame number); `NO_INDEX` when unused.
     pub index: u32,
     /// Recording thread, numbered in order of first event.
     pub tid: u32,
@@ -65,7 +65,7 @@ fn epoch() -> Instant {
 /// threads share the epoch, so timestamps order correctly across the
 /// worker pool.
 #[inline]
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -284,14 +284,14 @@ impl Trace {
     }
 
     /// Per-span-name summary (counts, mean, tail quantiles).
-    pub fn summary(&self) -> crate::TraceSummary {
-        crate::TraceSummary::from_histograms(&self.hists)
+    pub fn summary(&self) -> crate::summary::TraceSummary {
+        crate::summary::TraceSummary::from_histograms(&self.hists)
     }
 
     /// The trace as Chrome trace-event JSON (Perfetto /
     /// `chrome://tracing` compatible).
     pub fn chrome_json(&self) -> String {
-        crate::chrome_trace_json(&self.events)
+        crate::chrome::chrome_trace_json(&self.events)
     }
 }
 

@@ -64,11 +64,6 @@ impl TraceSummary {
         Self { spans }
     }
 
-    /// Summary for one span name, if it recorded any spans.
-    pub fn get(&self, name: &str) -> Option<&SpanSummary> {
-        self.spans.iter().find(|s| s.name == name)
-    }
-
     /// Plain-text table of every span name, hottest first. Columns:
     /// name, count, mean, p50, p95, p99, p99.99, max (all ms).
     pub fn table(&self) -> String {
@@ -196,8 +191,7 @@ mod tests {
         hot.record(60.0);
         let s = TraceSummary::from_histograms(&[("cold", cold), ("hot", hot)]);
         assert_eq!(s.spans[0].name, "hot");
-        assert_eq!(s.get("cold").unwrap().count, 1);
-        assert!(s.get("missing").is_none());
+        assert_eq!((s.spans[1].name, s.spans[1].count), ("cold", 1));
         let table = s.table();
         assert!(table.contains("hot") && table.contains("p99.99_ms"), "{table}");
     }

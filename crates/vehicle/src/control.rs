@@ -17,7 +17,7 @@ pub struct BicycleState {
 impl BicycleState {
     /// Advances the kinematic bicycle model by `dt` seconds under a
     /// steering angle (rad) and longitudinal acceleration (m/s²).
-    pub fn step(&self, wheelbase_m: f64, steer_rad: f64, accel_mps2: f64, dt: f64) -> Self {
+    pub(crate) fn step(&self, wheelbase_m: f64, steer_rad: f64, accel_mps2: f64, dt: f64) -> Self {
         let speed = (self.speed_mps + accel_mps2 * dt).max(0.0);
         let theta = self.pose.theta + self.speed_mps / wheelbase_m * steer_rad.tan() * dt;
         BicycleState {
@@ -33,7 +33,7 @@ impl BicycleState {
 
 /// One actuation command (paper Fig. 1: "Accelerate? Steering?").
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ControlCommand {
+pub(crate) struct ControlCommand {
     /// Steering angle (rad), positive left.
     pub steer_rad: f64,
     /// Longitudinal acceleration (m/s²).
@@ -64,13 +64,8 @@ impl VehicleController {
         }
     }
 
-    /// The wheelbase used by the companion bicycle model.
-    pub fn wheelbase_m(&self) -> f64 {
-        self.wheelbase_m
-    }
-
     /// Computes the actuation toward a waypoint at a target speed.
-    pub fn control(
+    pub(crate) fn control(
         &mut self,
         state: &BicycleState,
         waypoint: Point2,

@@ -22,12 +22,11 @@
 //! assert!(sys.total_w() > 2_000.0, "cooling magnifies the load");
 //! ```
 
-pub mod battery;
 pub mod control;
 pub mod power;
 pub mod range;
 pub mod thermal;
 
-pub use control::{BicycleState, ControlCommand, VehicleController};
+pub use control::{BicycleState, VehicleController};
 pub use power::SystemPower;
-pub use range::{ev_range_reduction, gas_mpg_reduction, ChevyBolt};
+pub use range::{ev_range_reduction, gas_mpg_reduction};

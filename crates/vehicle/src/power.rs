@@ -6,16 +6,11 @@
 
 /// Storage power: "a typical storage system consumes around 8 W to
 /// store every 3 TB data" (§2.4.5).
-pub const STORAGE_W_PER_3TB: f64 = 8.0;
+pub(crate) const STORAGE_W_PER_3TB: f64 = 8.0;
 
 /// Coefficient of performance of an automotive air conditioner
 /// (§2.4.5): cooling 1 W of heat costs 1/1.3 ≈ 0.77 W.
-pub const COOLING_COP: f64 = 1.3;
-
-/// Number of cameras on the paper's reference end-to-end system
-/// ("the same as Tesla", §5.3); each camera gets a replica of the
-/// computing engine.
-pub const REFERENCE_CAMERAS: usize = 8;
+pub(crate) const COOLING_COP: f64 = 1.3;
 
 /// Power draw of a storage system holding `bytes`.
 pub fn storage_power_w(bytes: u64) -> f64 {
@@ -97,12 +92,6 @@ impl SystemPower {
     pub fn total_w(&self) -> f64 {
         self.electrical_w() + self.cooling_w()
     }
-
-    /// The magnification factor from electrical power to total power
-    /// (≈ 1.77 at COP 1.3 — "almost doubles", Finding 5).
-    pub fn magnification(&self) -> f64 {
-        1.0 + 1.0 / COOLING_COP
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +119,7 @@ mod tests {
     #[test]
     fn total_nearly_doubles_electrical() {
         let sys = SystemPower::new(1, 100.0, 0);
-        assert!((sys.magnification() - 1.769).abs() < 0.01);
+        assert!((sys.total_w() / sys.electrical_w() - 1.769).abs() < 0.01);
         assert!((sys.total_w() - 176.9).abs() < 0.1);
     }
 

@@ -1,27 +1,11 @@
 //! Driving-range and fuel-economy impact models (paper §2.4.5,
 //! Fig. 2, Fig. 12).
 
-/// The paper's reference electric vehicle (its Fig. 2/Fig. 12 analyses
-/// are "evaluated based on a Chevy Bolt").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChevyBolt {
-    /// Battery capacity (kWh).
-    pub battery_kwh: f64,
-    /// EPA driving range (miles).
-    pub range_miles: f64,
-}
-
-impl Default for ChevyBolt {
-    fn default() -> Self {
-        Self { battery_kwh: 60.0, range_miles: 238.0 }
-    }
-}
-
 /// Average traction power while driving, derived from the paper's own
 /// anchor point: a 1 kW computing engine alone reduces the Bolt's
 /// range by 6 % (Fig. 2), which implies
 /// `P_drive = P · (1 − r) / r ≈ 15.7 kW`.
-pub const DRIVE_POWER_W: f64 = 15_667.0;
+pub(crate) const DRIVE_POWER_W: f64 = 15_667.0;
 
 /// Fractional driving-range reduction caused by `added_w` of
 /// electrical load: the battery now feeds both traction and the added
@@ -58,13 +42,6 @@ pub fn gas_mpg_reduction(added_w: f64, base_mpg: f64) -> f64 {
     assert!(added_w >= 0.0, "added power cannot be negative");
     assert!(base_mpg > 0.0, "base MPG must be positive");
     (added_w / 400.0) / base_mpg
-}
-
-impl ChevyBolt {
-    /// Remaining range (miles) with an added electrical load.
-    pub fn range_with_load(&self, added_w: f64) -> f64 {
-        self.range_miles * (1.0 - ev_range_reduction(added_w))
-    }
 }
 
 #[cfg(test)]
@@ -104,10 +81,4 @@ mod tests {
         assert!((gas_mpg_reduction(800.0, 20.0) - 0.10).abs() < 1e-9);
     }
 
-    #[test]
-    fn bolt_range_shrinks_with_load() {
-        let bolt = ChevyBolt::default();
-        assert_eq!(bolt.range_with_load(0.0), 238.0);
-        assert!(bolt.range_with_load(2_000.0) < 215.0);
-    }
 }

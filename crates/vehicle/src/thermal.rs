@@ -20,22 +20,6 @@ pub fn cabin_heating_c_per_min(heat_w: f64) -> f64 {
     10.0 * heat_w / 1_000.0
 }
 
-/// Whether electronics can operate outside the cabin unaided.
-pub fn can_operate_outside_cabin() -> bool {
-    AMBIENT_OUTSIDE_CABIN_C <= CHIP_LIMIT_C
-}
-
-/// Time (minutes) for the cabin to rise from `start_c` to an
-/// uncomfortable `limit_c` under `heat_w` of uncooled dissipation;
-/// `None` if the heat is zero.
-pub fn minutes_to_uncomfortable(heat_w: f64, start_c: f64, limit_c: f64) -> Option<f64> {
-    let rate = cabin_heating_c_per_min(heat_w);
-    if rate <= 0.0 || limit_c <= start_c {
-        return if limit_c <= start_c { Some(0.0) } else { None };
-    }
-    Some((limit_c - start_c) / rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,26 +29,4 @@ mod tests {
         assert_eq!(cabin_heating_c_per_min(1_000.0), 10.0);
     }
 
-    #[test]
-    fn electronics_cannot_live_outside_cabin() {
-        assert!(!can_operate_outside_cabin(), "105 C ambient > 75 C chip limit");
-    }
-
-    #[test]
-    fn time_to_uncomfortable_scales_inversely_with_heat() {
-        let slow = minutes_to_uncomfortable(500.0, 22.0, 27.0).unwrap();
-        let fast = minutes_to_uncomfortable(2_000.0, 22.0, 27.0).unwrap();
-        assert!((slow - 1.0).abs() < 1e-9);
-        assert!((fast - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_heat_never_overheats() {
-        assert_eq!(minutes_to_uncomfortable(0.0, 22.0, 27.0), None);
-    }
-
-    #[test]
-    fn already_over_limit_is_immediate() {
-        assert_eq!(minutes_to_uncomfortable(100.0, 30.0, 27.0), Some(0.0));
-    }
 }

@@ -7,11 +7,11 @@
 //! with a `Rotate_unit` (Fig. 9); we keep the same structure: a static
 //! pattern table plus a rotation step per test.
 
-use crate::integral::IntegralImage;
-use crate::{GrayImage, Keypoint};
+use crate::fast::Keypoint;
+use crate::GrayImage;
 
 /// Number of binary tests (descriptor bits).
-pub const BRIEF_BITS: usize = 256;
+pub(crate) const BRIEF_BITS: usize = 256;
 
 /// Patch half-extent: test points live in `[-PATCH_R, PATCH_R]`.
 const PATCH_R: i32 = 13;
@@ -40,7 +40,7 @@ impl Descriptor {
     }
 
     /// The raw bytes.
-    pub fn as_bytes(&self) -> &[u8; BRIEF_BITS / 8] {
+    pub(crate) fn as_bytes(&self) -> &[u8; BRIEF_BITS / 8] {
         &self.bits
     }
 
@@ -83,7 +83,7 @@ fn pattern() -> &'static [(i32, i32, i32, i32); BRIEF_BITS] {
 /// Test coordinates are rotated by the keypoint angle before sampling,
 /// giving rotation invariance (the "r" in rBRIEF). Samples outside the
 /// image are border-clamped.
-pub fn describe(img: &GrayImage, kp: &Keypoint) -> Descriptor {
+pub(crate) fn describe(img: &GrayImage, kp: &Keypoint) -> Descriptor {
     let (sin, cos) = kp.angle.sin_cos();
     let cx = kp.x;
     let cy = kp.y;
@@ -101,30 +101,6 @@ pub fn describe(img: &GrayImage, kp: &Keypoint) -> Descriptor {
         }
     }
     Descriptor { bits }
-}
-
-/// Computes the steered BRIEF descriptor using box-smoothed samples
-/// (5×5 means via an integral image), as the published BRIEF does —
-/// more robust to sensor noise than raw pixel comparisons at the cost
-/// of the integral-image pass.
-pub fn describe_smoothed(ii: &IntegralImage, kp: &Keypoint) -> Descriptor {
-    let (sin, cos) = kp.angle.sin_cos();
-    let cx = kp.x;
-    let cy = kp.y;
-    let mut bits = [0u8; BRIEF_BITS / 8];
-    for (i, &(x0, y0, x1, y1)) in pattern().iter().enumerate() {
-        let rot = |x: i32, y: i32| {
-            let rx = cos * x as f32 - sin * y as f32;
-            let ry = sin * x as f32 + cos * y as f32;
-            ((cx + rx).round() as isize, (cy + ry).round() as isize)
-        };
-        let (ax, ay) = rot(x0, y0);
-        let (bx, by) = rot(x1, y1);
-        if ii.smoothed(ax, ay, 2) < ii.smoothed(bx, by, 2) {
-            bits[i / 8] |= 1 << (i % 8);
-        }
-    }
-    Descriptor::new(bits)
 }
 
 #[cfg(test)]
@@ -236,34 +212,6 @@ mod tests {
             "steered {} vs unsteered {}",
             d0.hamming(&steered),
             d0.hamming(&unsteered)
-        );
-    }
-
-    #[test]
-    fn smoothed_descriptor_is_more_noise_robust() {
-        // Blocky texture (4x4 cells) so box smoothing preserves
-        // structure while averaging noise away.
-        let base = GrayImage::from_fn(64, 64, |x, y| {
-            let h = ((x / 4) as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(((y / 4) as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            (40 + (h >> 33) % 176) as u8
-        });
-        // The same texture under +-25 of per-pixel noise.
-        let noisy = GrayImage::from_fn(64, 64, |x, y| {
-            let h = (x as u64 * 7919) ^ (y as u64 * 104729);
-            let n = (h.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) % 51;
-            (base.get(x, y) as i16 + n as i16 - 25).clamp(0, 255) as u8
-        });
-        let k = kp(32.0, 32.0, 0.0);
-        let raw_dist = describe(&base, &k).hamming(&describe(&noisy, &k));
-        let ii_base = IntegralImage::new(&base);
-        let ii_noisy = IntegralImage::new(&noisy);
-        let smooth_dist =
-            describe_smoothed(&ii_base, &k).hamming(&describe_smoothed(&ii_noisy, &k));
-        assert!(
-            smooth_dist < raw_dist,
-            "smoothed {smooth_dist} must beat raw {raw_dist} under noise"
         );
     }
 

@@ -68,7 +68,7 @@ impl OrthoCamera {
     }
 
     /// Maps a vehicle-frame point to image coordinates.
-    pub fn vehicle_to_image(&self, p: Point2) -> (f64, f64) {
+    pub(crate) fn vehicle_to_image(&self, p: Point2) -> (f64, f64) {
         let cu = self.width as f64 / 2.0;
         let cv = self.height as f64 / 2.0;
         (cu - p.y / self.meters_per_pixel, cv - p.x / self.meters_per_pixel)

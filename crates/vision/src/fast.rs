@@ -48,7 +48,7 @@ const ARC: usize = 9;
 ///
 /// A pixel `p` is a corner when at least 9 contiguous circle
 /// pixels are all brighter than `p + t` or all darker than `p − t`.
-/// The returned keypoints carry a zero angle; call [`orientation`] (or
+/// The returned keypoints carry a zero angle; call `orientation` (or
 /// use [`OrbExtractor`](crate::OrbExtractor), which does) to fill it.
 ///
 /// # Examples
@@ -159,7 +159,7 @@ fn has_arc(mask: &[bool; 16]) -> bool {
 ///
 /// This is the "Orient_unit" the paper implements with an `atan2`
 /// lookup table on the FPGA (Fig. 9).
-pub fn orientation(img: &GrayImage, x: f32, y: f32, radius: isize) -> f32 {
+pub(crate) fn orientation(img: &GrayImage, x: f32, y: f32, radius: isize) -> f32 {
     let (mut m01, mut m10) = (0f64, 0f64);
     let cx = x.round() as isize;
     let cy = y.round() as isize;

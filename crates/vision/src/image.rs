@@ -95,35 +95,12 @@ impl GrayImage {
         &mut self.data
     }
 
-    /// One image row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is out of bounds.
-    pub fn row(&self, y: usize) -> &[u8] {
-        assert!(y < self.height, "row {y} out of bounds");
-        &self.data[y * self.width..(y + 1) * self.width]
-    }
-
     /// Fills an axis-aligned rectangle (clipped to the image).
     pub fn fill_rect(&mut self, x: isize, y: isize, w: usize, h: usize, value: u8) {
         for dy in 0..h as isize {
             for dx in 0..w as isize {
                 self.put(x + dx, y + dy, value);
             }
-        }
-    }
-
-    /// Draws a 1-pixel rectangle outline (clipped to the image).
-    pub fn draw_rect(&mut self, x: isize, y: isize, w: usize, h: usize, value: u8) {
-        let (w, h) = (w as isize, h as isize);
-        for dx in 0..w {
-            self.put(x + dx, y, value);
-            self.put(x + dx, y + h - 1, value);
-        }
-        for dy in 0..h {
-            self.put(x, y + dy, value);
-            self.put(x + w - 1, y + dy, value);
         }
     }
 
@@ -222,15 +199,6 @@ mod tests {
         img.fill_rect(2, 2, 10, 10, 9);
         assert_eq!(img.get(3, 3), 9);
         assert_eq!(img.get(1, 1), 0);
-    }
-
-    #[test]
-    fn draw_rect_outline_only() {
-        let mut img = GrayImage::new(8, 8);
-        img.draw_rect(1, 1, 5, 5, 7);
-        assert_eq!(img.get(1, 1), 7);
-        assert_eq!(img.get(5, 5), 7);
-        assert_eq!(img.get(3, 3), 0, "interior untouched");
     }
 
     #[test]

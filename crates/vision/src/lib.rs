@@ -11,8 +11,8 @@
 //! * [`Pyramid`]: multi-octave image pyramids,
 //! * [`fast`]: FAST-9 segment-test corner detection with non-maximum
 //!   suppression and intensity-centroid orientation (oFAST),
-//! * [`brief`]: steered 256-bit rBRIEF descriptors with the pattern
-//!   lookup table the paper's FPGA/ASIC designs store on-chip,
+//! * [`Descriptor`]: steered 256-bit rBRIEF descriptors with the
+//!   pattern lookup table the paper's FPGA/ASIC designs store on-chip,
 //! * [`OrbExtractor`]: the combined extractor, reporting the cost
 //!   statistics (pixels scanned, features described) that drive the
 //!   platform latency models,
@@ -31,22 +31,20 @@
 //! assert!(!features.is_empty(), "rectangle corners are detected");
 //! ```
 
-pub mod brief;
+mod brief;
 mod camera;
 pub mod fast;
 pub mod geometry;
 mod image;
-mod integral;
 mod matcher;
 mod orb;
 mod pyramid;
 
-pub use brief::{Descriptor, BRIEF_BITS};
+pub use brief::Descriptor;
 pub use camera::OrthoCamera;
-pub use fast::{fast_corners, orientation, Keypoint};
+pub use fast::{fast_corners, Keypoint};
 pub use geometry::{Point2, Pose2};
 pub use image::GrayImage;
-pub use integral::IntegralImage;
 pub use matcher::{match_descriptors, DescriptorMatch};
 pub use orb::{Feature, OrbCost, OrbExtractor};
 pub use pyramid::Pyramid;

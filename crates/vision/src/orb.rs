@@ -46,7 +46,6 @@ pub struct OrbExtractor {
     max_features: usize,
     fast_threshold: u8,
     n_levels: usize,
-    grid: Option<(usize, usize)>,
     runtime: Runtime,
 }
 
@@ -64,7 +63,6 @@ impl OrbExtractor {
             max_features,
             fast_threshold,
             n_levels: 4,
-            grid: None,
             runtime: Runtime::serial(),
         }
     }
@@ -86,25 +84,6 @@ impl OrbExtractor {
         assert!(n_levels > 0, "need at least one level");
         self.n_levels = n_levels;
         self
-    }
-
-    /// Distributes retention over a `rows`×`cols` image grid, capping
-    /// each cell at its fair share of the feature budget. ORB-SLAM
-    /// does this so features spread across the view — clustered
-    /// keypoints condition the pose solve poorly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn with_grid_distribution(mut self, rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "grid must be non-empty");
-        self.grid = Some((rows, cols));
-        self
-    }
-
-    /// Maximum number of features kept.
-    pub fn max_features(&self) -> usize {
-        self.max_features
     }
 
     /// Extracts oriented, described features.
@@ -139,33 +118,11 @@ impl OrbExtractor {
         });
         let mut keypoints: Vec<Keypoint> = per_level.into_iter().flatten().collect();
         cost.corners_detected = keypoints.len();
-        // Keep the strongest corners (the retention policy ORB uses),
-        // optionally spread over a spatial grid. The sort is stable,
-        // so equal scores keep their octave-order position and the
-        // retained set is deterministic.
+        // Keep the strongest corners (the retention policy ORB uses).
+        // The sort is stable, so equal scores keep their octave-order
+        // position and the retained set is deterministic.
         keypoints.sort_by(|a, b| b.score.total_cmp(&a.score));
-        match self.grid {
-            None => keypoints.truncate(self.max_features),
-            Some((rows, cols)) => {
-                let per_cell = (self.max_features / (rows * cols)).max(1);
-                let (w, h) = (img.width() as f32, img.height() as f32);
-                let mut counts = vec![0usize; rows * cols];
-                let mut kept = Vec::with_capacity(self.max_features);
-                for kp in keypoints.drain(..) {
-                    if kept.len() >= self.max_features {
-                        break;
-                    }
-                    let col = ((kp.x / w * cols as f32) as usize).min(cols - 1);
-                    let row = ((kp.y / h * rows as f32) as usize).min(rows - 1);
-                    let cell = row * cols + col;
-                    if counts[cell] < per_cell {
-                        counts[cell] += 1;
-                        kept.push(kp);
-                    }
-                }
-                keypoints = kept;
-            }
-        }
+        keypoints.truncate(self.max_features);
 
         let _desc = adsim_trace::span("orb.describe");
         let features: Vec<Feature> = keypoints
@@ -243,36 +200,6 @@ mod tests {
         let orb = OrbExtractor::new(500, 30).with_levels(3);
         let features = orb.extract(&img);
         assert!(features.iter().any(|f| f.keypoint.octave > 0));
-    }
-
-    #[test]
-    fn grid_distribution_spreads_features() {
-        // A dense cluster of strong corners in one corner of the image
-        // plus weaker texture elsewhere.
-        let mut img = GrayImage::from_fn(160, 120, |x, y| {
-            if x < 60 && y < 60 {
-                // Strong random texture: many high-score corners.
-                let h = (x as u64 * 7919) ^ (y as u64 * 104729);
-                (h.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as u8
-            } else {
-                30
-            }
-        });
-        // A few weaker corners elsewhere.
-        img.fill_rect(120, 90, 10, 10, 90);
-        img.fill_rect(100, 20, 10, 10, 90);
-        let plain = OrbExtractor::new(40, 20).extract(&img);
-        let gridded = OrbExtractor::new(40, 20).with_grid_distribution(3, 4).extract(&img);
-        let right_half = |fs: &[Feature]| {
-            fs.iter().filter(|f| f.keypoint.x > 80.0).count() as f64 / fs.len().max(1) as f64
-        };
-        assert!(
-            right_half(&gridded) > right_half(&plain),
-            "grid {} vs plain {}",
-            right_half(&gridded),
-            right_half(&plain)
-        );
-        assert!(gridded.len() <= 40);
     }
 
     #[test]

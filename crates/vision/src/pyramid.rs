@@ -46,13 +46,13 @@ impl Pyramid {
     }
 
     /// The scale factor of level `octave` relative to the base image.
-    pub fn scale(&self, octave: usize) -> f32 {
+    pub(crate) fn scale(&self, octave: usize) -> f32 {
         (1 << octave) as f32
     }
 
     /// Total pixels across all levels — the amount of data the FAST
     /// detector must scan, used by the platform cost model.
-    pub fn total_pixels(&self) -> usize {
+    pub(crate) fn total_pixels(&self) -> usize {
         self.levels.iter().map(GrayImage::pixels).sum()
     }
 }

@@ -31,7 +31,4 @@ pub use resolution::Resolution;
 pub use scenario::{Scenario, ScenarioKind};
 pub use stream::{Frame, FrameStream};
 pub use trajectory::{PoseTrack, TrackReplay, TrajectoryParseError};
-pub use world::{
-    class_from_intensity, class_intensity, Beacon, Conditions, MovingObject, TruthObject, World,
-    WorldParams,
-};
+pub use world::{Beacon, Conditions, MovingObject, TruthObject, World};

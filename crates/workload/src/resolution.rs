@@ -30,7 +30,7 @@ impl Resolution {
     ];
 
     /// Width in pixels.
-    pub fn width(self) -> usize {
+    pub(crate) fn width(self) -> usize {
         match self {
             Resolution::Hhd => 640,
             Resolution::Hd => 1280,
@@ -42,7 +42,7 @@ impl Resolution {
     }
 
     /// Height in pixels.
-    pub fn height(self) -> usize {
+    pub(crate) fn height(self) -> usize {
         match self {
             Resolution::Hhd => 360,
             Resolution::Hd => 720,

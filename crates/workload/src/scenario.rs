@@ -72,11 +72,6 @@ impl Scenario {
         Self { kind, world: World::generate(seed, &params), fps: 10.0 }
     }
 
-    /// The scenario kind.
-    pub fn kind(&self) -> ScenarioKind {
-        self.kind
-    }
-
     /// The generated world.
     pub fn world(&self) -> &World {
         &self.world

@@ -39,13 +39,8 @@ pub struct FrameStream<'a> {
 
 impl<'a> FrameStream<'a> {
     /// Creates a stream at frame 0.
-    pub fn new(scenario: &'a Scenario, resolution: Resolution) -> Self {
+    pub(crate) fn new(scenario: &'a Scenario, resolution: Resolution) -> Self {
         Self { scenario, camera: scenario.camera(resolution), next_index: 0 }
-    }
-
-    /// The camera used for rendering.
-    pub fn camera(&self) -> &OrthoCamera {
-        &self.camera
     }
 
     /// Skips ahead without rendering.

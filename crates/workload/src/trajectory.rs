@@ -135,24 +135,9 @@ impl PoseTrack {
         Ok(PoseTrack { times, poses })
     }
 
-    /// Number of recorded poses.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether the track is empty (never true for parsed tracks).
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
     /// Start and end timestamps.
-    pub fn time_span(&self) -> (f64, f64) {
+    pub(crate) fn time_span(&self) -> (f64, f64) {
         (self.times[0], *self.times.last().expect("nonempty"))
-    }
-
-    /// Total path length (m) along the recorded poses.
-    pub fn path_length_m(&self) -> f64 {
-        self.poses.windows(2).map(|w| w[0].distance(&w[1])).sum()
     }
 
     /// Pose at an arbitrary time, linearly interpolating position and
@@ -197,7 +182,7 @@ mod tests {
     #[test]
     fn parses_comments_and_blank_lines() {
         let track = PoseTrack::from_csv_str(SAMPLE).unwrap();
-        assert_eq!(track.len(), 3);
+        assert_eq!(track.times.len(), 3);
         assert_eq!(track.time_span(), (0.0, 1.0));
     }
 
@@ -225,13 +210,6 @@ mod tests {
         let mid = track.pose_at_time(0.5);
         // Shortest arc passes through ±π, not through 0.
         assert!(mid.theta.abs() > 3.0, "theta {}", mid.theta);
-    }
-
-    #[test]
-    fn path_length_sums_segments() {
-        let track = PoseTrack::from_csv_str(SAMPLE).unwrap();
-        let expect = 5.0 + (25.0f64 + 1.0).sqrt();
-        assert!((track.path_length_m() - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -322,7 +300,7 @@ impl Iterator for TrackReplay<'_> {
 #[cfg(test)]
 mod replay_tests {
     use super::*;
-    use crate::{World, WorldParams};
+    use crate::world::{World, WorldParams};
     use adsim_vision::OrthoCamera;
 
     #[test]

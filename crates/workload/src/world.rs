@@ -14,7 +14,7 @@ pub struct Beacon {
 }
 
 /// Physical beacon extent in meters (square).
-pub const BEACON_SIZE_M: f64 = 7.0;
+pub(crate) const BEACON_SIZE_M: f64 = 7.0;
 
 /// A scripted moving object of one of the paper's four classes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,21 +44,15 @@ impl MovingObject {
     /// Base rendering intensity encoding the class; each class lives in
     /// a distinct band so the classical detector can classify and the
     /// ground-truth generator stays consistent with rendering.
-    pub fn base_intensity(&self) -> u8 {
+    pub(crate) fn base_intensity(&self) -> u8 {
         class_intensity(self.class)
     }
 }
 
 /// Center of the rendering intensity band for a class (canonical
 /// definition lives on [`ObjectClass::render_intensity`]).
-pub fn class_intensity(class: ObjectClass) -> u8 {
+pub(crate) fn class_intensity(class: ObjectClass) -> u8 {
     class.render_intensity()
-}
-
-/// Recovers the class from a mean patch intensity (delegates to
-/// [`ObjectClass::from_intensity`]).
-pub fn class_from_intensity(mean: f64) -> Option<ObjectClass> {
-    ObjectClass::from_intensity(mean)
 }
 
 /// Ground-truth annotation for one visible object.
@@ -74,7 +68,7 @@ pub struct TruthObject {
 
 /// World-generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorldParams {
+pub(crate) struct WorldParams {
     /// Half-extent of the square world (m).
     pub extent_m: f64,
     /// Beacon grid spacing (m).
@@ -156,7 +150,7 @@ pub struct World {
 
 impl World {
     /// Generates a world deterministically from a seed.
-    pub fn generate(seed: u64, params: &WorldParams) -> World {
+    pub(crate) fn generate(seed: u64, params: &WorldParams) -> World {
         let mut rng = Rng64::new(seed);
         let mut beacons = Vec::new();
         let n = (2.0 * params.extent_m / params.beacon_spacing_m) as i64;
@@ -215,11 +209,6 @@ impl World {
             });
         }
         World { beacons, objects }
-    }
-
-    /// The landmark beacons.
-    pub fn beacons(&self) -> &[Beacon] {
-        &self.beacons
     }
 
     /// The scripted objects.
@@ -286,7 +275,7 @@ impl World {
     }
 
     /// Ground-truth boxes for objects visible from `pose` at `time_s`.
-    pub fn truth_objects(
+    pub(crate) fn truth_objects(
         &self,
         camera: &OrthoCamera,
         pose: &Pose2,
@@ -389,10 +378,10 @@ mod tests {
         let p = WorldParams::default();
         let a = World::generate(7, &p);
         let b = World::generate(7, &p);
-        assert_eq!(a.beacons(), b.beacons());
+        assert_eq!(a.beacons, b.beacons);
         assert_eq!(a.objects(), b.objects());
         let c = World::generate(8, &p);
-        assert_ne!(a.beacons(), c.beacons());
+        assert_ne!(a.beacons, c.beacons);
     }
 
     #[test]
@@ -424,7 +413,7 @@ mod tests {
             (t.bbox.cy * cam.height() as f32) as usize,
         );
         assert_eq!(
-            class_from_intensity(px as f64),
+            ObjectClass::from_intensity(px as f64),
             Some(o.class),
             "pixel {px} should encode {:?}",
             o.class
@@ -443,10 +432,10 @@ mod tests {
     #[test]
     fn class_intensity_round_trips() {
         for c in ObjectClass::ALL {
-            assert_eq!(class_from_intensity(class_intensity(c) as f64), Some(c));
-            assert_eq!(class_from_intensity(class_intensity(c) as f64 + 9.0), Some(c));
+            assert_eq!(ObjectClass::from_intensity(class_intensity(c) as f64), Some(c));
+            assert_eq!(ObjectClass::from_intensity(class_intensity(c) as f64 + 9.0), Some(c));
         }
-        assert_eq!(class_from_intensity(30.0), None);
+        assert_eq!(ObjectClass::from_intensity(30.0), None);
     }
 
     #[test]
@@ -455,7 +444,7 @@ mod tests {
         // regardless of vehicle heading (sampling is in world space).
         let world = World::generate(4, &WorldParams { n_objects: 0, ..Default::default() });
         let cam = camera();
-        let b = world.beacons()[world.beacons().len() / 2];
+        let b = world.beacons[world.beacons.len() / 2];
         let pose_a = Pose2::new(b.position.x - 10.0, b.position.y, 0.0);
         let pose_b = Pose2::new(b.position.x, b.position.y - 10.0, std::f64::consts::FRAC_PI_2);
         let img_a = world.render(&cam, &pose_a, 0.0);

@@ -19,11 +19,11 @@
 //! | [`runtime`] | The std-only fork-join worker pool |
 //! | [`faults`] | Deterministic seeded fault injection |
 //! | [`trace`] | Span tracing, streaming tail-latency histograms, Chrome-trace export |
+//! | [`guard`] | Stage-boundary safety monitors and payload digests |
 //! | [`fleet`] | Work-stealing fleet campaign engine with Arc-shared weights |
-//! | [`anytime`] | Predictive deadline governor: anytime perception over the latency-accuracy frontier |
 //! | [`telemetry`] | Fleet metrics registry (Prometheus/JSON export) and the black-box flight recorder |
 //! | [`recovery`] | Crash containment: deterministic checkpoint/restore and restart-replay recovery |
-//! | [`core`] | The end-to-end pipelines, supervisor, and design-constraint checker |
+//! | [`core`] | The end-to-end pipelines, supervisor, and design-constraint checker; [`core::anytime`] is the predictive deadline governor |
 //!
 //! # Quickstart
 //!
@@ -42,7 +42,6 @@
 //! `crates/bench` for the harnesses that regenerate every table and
 //! figure of the paper (documented in EXPERIMENTS.md).
 
-pub use adsim_anytime as anytime;
 pub use adsim_core as core;
 pub use adsim_dnn as dnn;
 pub use adsim_faults as faults;

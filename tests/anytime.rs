@@ -5,7 +5,7 @@
 //! degraded-mode entry balances with an exit (or a terminal safe
 //! stop) once a run is finished — early termination included.
 
-use adsim::anytime::{AnytimeConfig, DWELL_FRAMES};
+use adsim::core::anytime::{AnytimeConfig, DWELL_FRAMES};
 use adsim::core::{
     build_prior_map, DegradationCause, DegradationEvent, DegradationEventKind, DegradedMode,
     ModeledPipeline, ModeledSupervisor, NativePipeline, NativePipelineConfig, PlatformConfig,

@@ -3,9 +3,10 @@
 //! that list it silently tests only the root package — a tenth of the
 //! suite, none of the SIMD-vs-scalar differentials included. The
 //! manifests also declare no cargo feature beyond the one tier-1 runs,
-//! so no test hides behind a feature nobody turns on. The count of
-//! panic sites in library code is pinned, so any change to it shows in
-//! the diff.
+//! so no test hides behind a feature nobody turns on. The counts of
+//! panic sites and of `pub` items in library code are pinned, so any
+//! change to either shows in the diff, and the crate list in README and
+//! the facade must match `crates/`.
 
 use std::path::{Path, PathBuf};
 
@@ -67,7 +68,7 @@ fn default_members_cover_the_root_and_every_crate() {
 /// `crates/*/src/**/*.rs`: each file's text before its first
 /// `#[cfg(test)]`. The count may only move with this constant, so
 /// every added or removed panic site shows in review.
-const PANIC_SITES: usize = 108;
+const PANIC_SITES: usize = 104;
 
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -81,25 +82,107 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn panic_site_ledger_matches_the_committed_count() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+/// The text of every `crates/*/src/**/*.rs` file before its first
+/// `#[cfg(test)]`: the library code both ledgers below count.
+fn non_test_sources(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
     for dir in crate_dirs(root) {
         rust_files(&dir.join("src"), &mut files);
     }
-    let count: usize = files
+    files
         .iter()
         .map(|file| {
-            let text = std::fs::read_to_string(file).expect("readable source file");
-            let non_test = text.find("#[cfg(test)]").map_or(&text[..], |end| &text[..end]);
-            non_test.matches(".unwrap()").count() + non_test.matches(".expect(").count()
+            let mut text = std::fs::read_to_string(file).expect("readable source file");
+            text.truncate(text.find("#[cfg(test)]").unwrap_or(text.len()));
+            text
         })
+        .collect()
+}
+
+#[test]
+fn panic_site_ledger_matches_the_committed_count() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let count: usize = non_test_sources(root)
+        .iter()
+        .map(|text| text.matches(".unwrap()").count() + text.matches(".expect(").count())
         .sum();
     assert_eq!(
         count, PANIC_SITES,
         "crates/*/src now has {count} non-test .unwrap()/.expect( sites; set PANIC_SITES to {count}"
     );
+}
+
+/// `pub fn|struct|enum|trait|const|static|type|mod|use` declarations
+/// in the same non-test text. An item is `pub` only when something
+/// outside its crate names it — another crate, the root package's
+/// `src/`, `tests/` or `examples/`, `benchmark/`, the crate's own bins
+/// and benches, or a doctest — or when it appears in the signature of
+/// one that is; everything else is `pub(crate)`, which this does not
+/// count. The count may only fall.
+const PUB_ITEMS: usize = 884;
+
+/// Occurrences in `text` of `pub` followed by one of the counted
+/// declaration keywords, each as a whole word.
+fn pub_items(text: &str) -> usize {
+    const KINDS: [&str; 9] =
+        ["fn", "struct", "enum", "trait", "const", "static", "type", "mod", "use"];
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let is_kind = |rest: &str| {
+        KINDS.iter().any(|kind| rest.strip_prefix(kind).is_some_and(|t| !t.starts_with(is_ident)))
+    };
+    text.match_indices("pub ")
+        .filter(|&(at, _)| !text[..at].ends_with(is_ident) && is_kind(&text[at + "pub ".len()..]))
+        .count()
+}
+
+#[test]
+fn pub_item_ledger_matches_the_committed_count() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let count: usize = non_test_sources(root).iter().map(|text| pub_items(text)).sum();
+    assert_eq!(
+        count, PUB_ITEMS,
+        "crates/*/src now declares {count} non-test pub items; set PUB_ITEMS to {count}"
+    );
+}
+
+/// The crate names under `crates/`, sorted.
+fn crate_names(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = crate_dirs(root)
+        .iter()
+        .map(|dir| dir.file_name().and_then(|n| n.to_str()).expect("UTF-8 crate dir").to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+/// README's crate table has one `adsim-<name>` row per crate and the
+/// facade one `pub use adsim_<name> as <name>;` per crate but the
+/// bench harness, and neither lists a crate that is gone, so folding
+/// or adding a crate cannot leave the docs behind.
+#[test]
+fn readme_table_and_facade_list_every_crate_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let names = crate_names(root);
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let mut rows: Vec<String> = readme
+        .lines()
+        .filter_map(|line| Some(line.strip_prefix("| `adsim-")?.split_once("` |")?.0.to_string()))
+        .collect();
+    rows.sort();
+    assert_eq!(rows, names, "README crate-table rows vs crates/");
+    let facade = std::fs::read_to_string(root.join("src/lib.rs")).expect("src/lib.rs");
+    let mut reexports: Vec<String> = facade
+        .lines()
+        .filter_map(|line| {
+            let reexport = line.strip_prefix("pub use adsim_")?.strip_suffix(';')?;
+            let (name, alias) = reexport.split_once(" as ")?;
+            assert_eq!(name, alias, "facade re-exports adsim_{name} as {alias}");
+            Some(name.to_string())
+        })
+        .collect();
+    reexports.sort();
+    let expected: Vec<String> = names.into_iter().filter(|name| name != "bench").collect();
+    assert_eq!(reexports, expected, "src/lib.rs re-exports vs crates/ (bench excluded)");
 }
 
 /// Every feature is a build configuration tier-1 must run. The one
