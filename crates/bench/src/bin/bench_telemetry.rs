@@ -194,7 +194,7 @@ fn main() {
         assert!(causality.checked > 0, "full grid must exercise data-fault SafeStop dumps");
     }
 
-    let _ = session.finish(); // clears the enable flag; cells already drained their shards
+    session.finish();
 
     // The re-run's exposition: sorted by the engine and validated above
     // (it equals the 1-worker reference byte for byte).

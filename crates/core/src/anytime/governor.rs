@@ -206,11 +206,6 @@ impl Governor {
         let degrade = target > from;
         adsim_trace::instant(if degrade { "anytime.degrade" } else { "anytime.upgrade" });
         adsim_trace::counter("anytime.quality-level", target as f64);
-        adsim_telemetry::counter_add(
-            "anytime_switch_total",
-            if degrade { "degrade" } else { "upgrade" },
-            1,
-        );
         let a = self.ladder[from].knobs;
         let b = self.ladder[target].knobs;
         if a.det_scale != b.det_scale {
@@ -238,19 +233,19 @@ impl Governor {
     /// Feeds the frame's observed per-stage virtual extras (ms, as
     /// charged at the *active* rung) into the predictor. The governor
     /// normalizes them to full quality, so predictor state describes
-    /// the underlying load independent of the knob setting.
-    pub(crate) fn observe(&mut self, extras_ms: [f64; STAGES]) {
+    /// the underlying load independent of the knob setting. Returns the
+    /// absolute error of the summed forecast (ms), once one exists.
+    pub(crate) fn observe(&mut self, extras_ms: [f64; STAGES]) -> Option<f64> {
         if !self.enabled {
-            return;
+            return None;
         }
         let lvl = &self.ladder[self.level];
         let normalized: [f64; STAGES] =
             std::array::from_fn(|s| extras_ms[s] / lvl.factor(s).max(1e-9));
-        if self.has_forecast {
-            let err = (self.last_fc_sum - normalized.iter().sum::<f64>()).abs();
-            adsim_telemetry::observe_ms("anytime_forecast_abs_err_ms", "", err);
-        }
+        let err =
+            self.has_forecast.then(|| (self.last_fc_sum - normalized.iter().sum::<f64>()).abs());
         self.predictor.observe(normalized);
+        err
     }
 }
 

@@ -142,9 +142,10 @@ pub struct NativePipeline {
     fusion: FusionEngine,
     motion: MotionPlanner,
     runtime: Runtime,
-    /// Frames processed so far — stamps the track-count gauge so fleet
-    /// merges can pick the later sample deterministically.
-    frames: u64,
+    /// Frames processed so far. The supervisor stamps the track-count
+    /// gauge with it, so registry merges pick the later sample
+    /// deterministically.
+    pub(crate) frames: u64,
 }
 
 impl std::fmt::Debug for NativePipeline {
@@ -385,17 +386,7 @@ impl NativePipeline {
         let mot_ms = t.elapsed().as_secs_f64() * 1e3;
         drop(mot_sp);
 
-        // Telemetry is recorded on the calling thread only — the DET /
-        // LOC join closures run on pool workers whose shards belong to
-        // whatever vehicle scope those threads happen to hold. Counts
-        // and the track gauge are virtual-clock-free quantities, so
-        // fleet aggregates stay deterministic.
         self.frames += 1;
-        adsim_telemetry::counter_add("pipeline_frame_total", "", 1);
-        if !ctrl.skip_detection {
-            adsim_telemetry::counter_add("pipeline_detection_total", "det", detections.len() as u64);
-        }
-        adsim_telemetry::gauge_set("pipeline_track_count", "tra", self.frames, tracks.len() as f64);
 
         NativeFrameResult {
             latency: FrameLatency {

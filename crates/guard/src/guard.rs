@@ -150,33 +150,25 @@ impl PipelineGuard {
     }
 
     fn record(&mut self, frame: u64, monitor: Monitor, violation: Violation) {
-        let label = match monitor {
+        match monitor {
             Monitor::Detection => {
                 self.stats.det_trips += 1;
                 adsim_trace::instant_at("guard.det", frame as usize);
-                "det"
             }
             Monitor::Tracker => {
                 self.stats.tra_trips += 1;
                 adsim_trace::instant_at("guard.tra", frame as usize);
-                "tra"
             }
             Monitor::Localization => {
                 self.stats.loc_trips += 1;
                 adsim_trace::instant_at("guard.loc", frame as usize);
-                "loc"
             }
             Monitor::Planner => {
                 self.stats.plan_trips += 1;
                 adsim_trace::instant_at("guard.plan", frame as usize);
-                "plan"
             }
-            Monitor::DataPlane => {
-                adsim_trace::instant_at("guard.data", frame as usize);
-                "data"
-            }
-        };
-        adsim_telemetry::counter_add("guard_monitor_trip_total", label, 1);
+            Monitor::DataPlane => adsim_trace::instant_at("guard.data", frame as usize),
+        }
         self.events.push(GuardEvent { frame, monitor, violation });
     }
 
@@ -200,12 +192,10 @@ impl PipelineGuard {
             return (DataVerdict::Clean, None);
         }
         self.stats.digest_checks += 1;
-        adsim_telemetry::counter_add("guard_digest_check_total", "", 1);
         let got = digest_image(delivered);
         let prev = self.prev_delivered.replace(got);
         if prev == Some(got) {
             self.stats.stuck_detected += 1;
-            adsim_telemetry::counter_add("guard_stuck_total", "", 1);
             self.record(frame, Monitor::DataPlane, Violation::StuckSensor);
             return (DataVerdict::Stuck, None);
         }
@@ -213,7 +203,6 @@ impl PipelineGuard {
             return (DataVerdict::Clean, None);
         }
         self.stats.digest_mismatches += 1;
-        adsim_telemetry::counter_add("guard_digest_mismatch_total", "", 1);
         self.record(frame, Monitor::DataPlane, Violation::DigestMismatch);
         if self.cfg != GuardConfig::Voting {
             return (DataVerdict::Corrupted, None);
@@ -221,7 +210,6 @@ impl PipelineGuard {
         let second = redeliver();
         if digest_image(&second) == expected {
             self.stats.dual_recovered += 1;
-            adsim_telemetry::counter_add("guard_dual_recovered_total", "", 1);
             self.prev_delivered = Some(expected);
             (DataVerdict::RecoveredTransient, Some(second))
         } else {

@@ -1,7 +1,6 @@
 use adsim_dnn::detection::BBox;
 use adsim_dnn::models::goturn_tiny_shared;
 use adsim_dnn::Network;
-use adsim_runtime::Runtime;
 use adsim_tensor::Tensor;
 use adsim_vision::GrayImage;
 
@@ -58,7 +57,6 @@ pub struct GoturnTracker {
     net: Network,
     bbox: BBox,
     prev_crop: GrayImage,
-    runtime: Runtime,
 }
 
 impl std::fmt::Debug for GoturnTracker {
@@ -77,7 +75,7 @@ impl GoturnTracker {
     /// previously made it the pipeline's largest repeated allocation.
     pub fn new(frame: &GrayImage, bbox: BBox) -> Self {
         let prev_crop = crop_box(frame, &bbox, 1.0);
-        Self { net: goturn_tiny_shared(), bbox, prev_crop, runtime: Runtime::serial() }
+        Self { net: goturn_tiny_shared(), bbox, prev_crop }
     }
 }
 
@@ -87,10 +85,7 @@ impl Tracker for GoturnTracker {
         let search = search_region(&self.bbox);
         let cur_crop = crop_box(frame, &search, 1.0);
         let input = stack_crops(&self.prev_crop, &cur_crop);
-        let out = self
-            .net
-            .forward_with(&self.runtime, &input)
-            .expect("goturn_tiny accepts its input");
+        let out = self.net.forward(&input).expect("goturn_tiny accepts its input");
         let o = out.as_slice();
         // Outputs are sigmoid-normalized within the search region.
         let new_bbox = BBox::new(
@@ -305,9 +300,7 @@ mod tests {
         let f0 = frame_with_target(0.5, 0.5);
         let bbox = target_box(0.5, 0.5);
         let mut a = GoturnTracker::new(&f0, bbox);
-        // The parallel runtime must not perturb the regression.
         let mut b = GoturnTracker::new(&f0, bbox);
-        b.runtime = Runtime::new(4);
         let f1 = frame_with_target(0.52, 0.5);
         let ba = a.update(&f1);
         let bb = b.update(&f1);

@@ -8,9 +8,10 @@
 //! (`adsim-trace`) and a production fleet:
 //!
 //! * [`MetricsRegistry`] — counters, gauges and `LogHistogram`-backed
-//!   distributions keyed by `(metric, vehicle, stage)`, recorded
-//!   through per-thread shards ([`TelemetrySession`]) with the same
-//!   TLS-merge discipline the span recorder uses. Only virtual-clock
+//!   distributions keyed by `(metric, vehicle, stage)`. A registry is
+//!   plain owned data: each supervisor records into its own while a
+//!   [`TelemetrySession`] is active, and the fleet engine merges the
+//!   per-vehicle registries in spec order. Only virtual-clock
 //!   quantities enter, so fleet aggregates stay byte-identical across
 //!   worker counts; exporters: [`prometheus_text`] and
 //!   [`MetricsRegistry::snapshot_json`].
@@ -23,15 +24,14 @@
 //! # Examples
 //!
 //! ```
-//! use adsim_telemetry::{prometheus_text, validate_prometheus, TelemetrySession};
+//! use adsim_telemetry::{prometheus_text, validate_prometheus, MetricsRegistry};
 //!
-//! let session = TelemetrySession::begin();
-//! adsim_telemetry::counter_add("frames_total", "", 1);
-//! adsim_telemetry::observe_ms("stage_virtual_ms", "det", 21.5);
-//! let registry = session.finish();
+//! let mut registry = MetricsRegistry::new();
+//! registry.counter_add("frames_total", 0, "", 1);
+//! registry.observe_ms("stage_virtual_ms", 0, "det", 21.5);
 //! let text = prometheus_text(&registry);
 //! validate_prometheus(&text).unwrap();
-//! assert!(text.contains("adsim_frames_total 1"));
+//! assert!(text.contains("adsim_frames_total{vehicle=\"0\"} 1"));
 //! ```
 
 mod flight;
@@ -47,8 +47,5 @@ pub use flight::{
     MONITOR_DETECTION, MONITOR_LOCALIZATION, MONITOR_PLANNER, MONITOR_TRACKER,
 };
 pub use prometheus::{prometheus_text, validate_prometheus};
-pub use recorder::{
-    counter_add, drain_thread, enabled, flush_thread, gauge_set, observe_ms, TelemetrySession,
-    VehicleScope,
-};
-pub use registry::{MetricsRegistry, SeriesKey, SeriesValue};
+pub use recorder::{enabled, TelemetrySession};
+pub use registry::MetricsRegistry;

@@ -2,7 +2,7 @@
 //! validator (same spirit as `adsim_trace::validate_json`: our own
 //! exports must re-parse before a bench is allowed to write them).
 
-use crate::registry::{MetricsRegistry, SeriesValue, NO_VEHICLE};
+use crate::registry::{MetricsRegistry, SeriesValue};
 
 /// Quantiles rendered for histogram series (as Prometheus summaries —
 /// the paper's tail-latency vocabulary, 99.99th included).
@@ -22,21 +22,14 @@ fn fmt_value(v: f64) -> String {
 }
 
 fn labels(vehicle: u32, stage: &str, extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if vehicle != NO_VEHICLE {
-        parts.push(format!("vehicle=\"{vehicle}\""));
-    }
+    let mut parts = vec![format!("vehicle=\"{vehicle}\"")];
     if !stage.is_empty() {
         parts.push(format!("stage=\"{stage}\""));
     }
     if let Some((k, v)) = extra {
         parts.push(format!("{k}=\"{v}\""));
     }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
-    }
+    format!("{{{}}}", parts.join(","))
 }
 
 /// Renders a registry in Prometheus text-exposition format. Series

@@ -11,33 +11,28 @@
 use adsim_trace::json::{self, obj, Value};
 use adsim_trace::LogHistogram;
 
-/// Sentinel vehicle id meaning "no vehicle label": series recorded
-/// outside any [`crate::VehicleScope`] (e.g. a bare pipeline run) carry
-/// it and render without a `vehicle` label.
-pub(crate) const NO_VEHICLE: u32 = u32::MAX;
-
 /// One series' identity. Label values are `&'static str` by design:
 /// producers use fixed vocabularies (stage names, mode names, trigger
 /// names), which keeps the record hot path allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SeriesKey {
+pub(crate) struct SeriesKey {
     /// Metric name (`snake_case`, Prometheus-safe charset).
-    pub metric: &'static str,
-    /// Vehicle id, or `NO_VEHICLE` for unscoped series.
-    pub vehicle: u32,
+    pub(crate) metric: &'static str,
+    /// Vehicle id.
+    pub(crate) vehicle: u32,
     /// Stage / sub-label, or `""` for none.
-    pub stage: &'static str,
+    pub(crate) stage: &'static str,
 }
 
 /// One series' value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SeriesValue {
+pub(crate) enum SeriesValue {
     /// Monotonic event count.
     Counter(u64),
     /// Last-known sample, stamped with the virtual frame it was taken
     /// on. The frame stamp makes the merge rule order-invariant: the
     /// sample from the larger frame wins (value bits break ties), so
-    /// shards can merge in any order.
+    /// registries can merge in any order.
     Gauge {
         /// Frame index the sample was taken on.
         frame: u64,
@@ -48,9 +43,8 @@ pub enum SeriesValue {
     Histogram(LogHistogram),
 }
 
-/// A set of metric series. Plain data — thread-confined; concurrency
-/// comes from per-thread shards (see [`crate::TelemetrySession`]) that
-/// merge into one registry at flush.
+/// A set of metric series. Plain owned data: a supervisor records into
+/// its own registry, and a fleet merges the per-vehicle registries.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     series: Vec<(SeriesKey, SeriesValue)>,
@@ -77,17 +71,6 @@ impl MetricsRegistry {
         self.series.len()
     }
 
-    /// A new registry holding clones of the series whose key passes
-    /// `keep`, in this registry's order. The lockstep fleet engine
-    /// uses it to split one thread-local drain back into per-vehicle
-    /// registries (`keep = |k| k.vehicle == i`), reproducing what each
-    /// cell would have drained on its own worker thread.
-    pub fn filtered(&self, keep: impl Fn(&SeriesKey) -> bool) -> MetricsRegistry {
-        MetricsRegistry {
-            series: self.series.iter().filter(|(k, _)| keep(k)).cloned().collect(),
-        }
-    }
-
     fn slot(&mut self, key: SeriesKey, init: impl FnOnce() -> SeriesValue) -> &mut SeriesValue {
         if let Some(i) = self.series.iter().position(|(k, _)| *k == key) {
             &mut self.series[i].1
@@ -102,7 +85,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if the series exists with a non-counter type.
-    pub(crate) fn counter_add(
+    pub fn counter_add(
         &mut self,
         metric: &'static str,
         vehicle: u32,
@@ -120,7 +103,7 @@ impl MetricsRegistry {
     /// sample with the larger `(frame, value-bits)` rank sticks), so a
     /// gauge's final value is order-invariant over any interleaving of
     /// sets and merges.
-    pub(crate) fn gauge_set(
+    pub fn gauge_set(
         &mut self,
         metric: &'static str,
         vehicle: u32,
@@ -144,7 +127,7 @@ impl MetricsRegistry {
     }
 
     /// Records one observation into a histogram series.
-    pub(crate) fn observe_ms(
+    pub fn observe_ms(
         &mut self,
         metric: &'static str,
         vehicle: u32,
@@ -215,10 +198,8 @@ impl MetricsRegistry {
     /// the workspace writer ([`adsim_trace::json`]).
     pub fn snapshot_json(&self) -> String {
         let series = self.sorted().into_iter().map(|(key, value)| {
-            let mut m: Vec<(&str, Value)> = vec![("metric", key.metric.into())];
-            if key.vehicle != NO_VEHICLE {
-                m.push(("vehicle", key.vehicle.into()));
-            }
+            let mut m: Vec<(&str, Value)> =
+                vec![("metric", key.metric.into()), ("vehicle", key.vehicle.into())];
             if !key.stage.is_empty() {
                 m.push(("stage", key.stage.into()));
             }
@@ -307,7 +288,7 @@ mod tests {
     }
 
     // -- Merge property grid, mirroring the LogHistogram::merge tests:
-    // shard-order invariance and empty-merge identity.
+    // merge-order invariance and empty-merge identity.
 
     fn shard(seed: u64) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
@@ -382,7 +363,7 @@ mod tests {
     fn snapshot_json_is_valid_and_canonically_ordered() {
         let mut r = MetricsRegistry::new();
         r.observe_ms("z_last", 2, "det", 1.0);
-        r.counter_add("a_first", NO_VEHICLE, "", 1);
+        r.counter_add("a_first", 1, "", 1);
         r.gauge_set("mid", 0, "loc", 4, 0.5);
         let json = r.snapshot_json();
         adsim_trace::validate_json(&json).expect("snapshot must be valid JSON");
@@ -390,7 +371,8 @@ mod tests {
         let m = json.find("mid").unwrap();
         let z = json.find("z_last").unwrap();
         assert!(a < m && m < z, "series must export in canonical order");
-        // NO_VEHICLE renders without a vehicle label.
-        assert!(json.contains("{\"metric\": \"a_first\", \"type\": \"counter\""));
+        assert!(json.contains(
+            "{\"metric\": \"a_first\", \"vehicle\": 1, \"type\": \"counter\""
+        ));
     }
 }

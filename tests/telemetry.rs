@@ -5,8 +5,8 @@
 //! every trigger in the matrix (SafeStop, monitor trip, manual).
 
 use adsim::core::SupervisorConfig;
-use adsim::faults::FaultConfig;
-use adsim::fleet::{run_cell, CellSpec, FleetAssets, FleetConfig, FleetEngine};
+use adsim::faults::{FaultConfig, FaultStage};
+use adsim::fleet::{run_cell, CellSpec, FleetAssets, FleetConfig, FleetEngine, RecoveryPolicy};
 use adsim::telemetry::{prometheus_text, validate_prometheus, DumpTrigger, TelemetrySession};
 use adsim::workload::Resolution;
 
@@ -43,7 +43,7 @@ fn telemetry_on_vs_off_outputs_bit_identical() {
 
     let session = TelemetrySession::begin();
     let on: Vec<_> = specs().iter().map(|s| run_cell(&assets, s, &pipeline).0).collect();
-    drop(session.finish());
+    session.finish();
 
     let session = TelemetrySession::quiesced();
     let off: Vec<_> = specs().iter().map(|s| run_cell(&assets, s, &pipeline).0).collect();
@@ -61,6 +61,49 @@ fn telemetry_on_vs_off_outputs_bit_identical() {
     }
     // The recorded registry carries the supervisor's frame counter.
     assert_eq!(on[0].telemetry.counter("sup_frames_total", 0, ""), FRAMES as u64);
+    // ... the pipeline's frame counter ...
+    assert_eq!(on[0].telemetry.counter("pipeline_frame_total", 0, ""), FRAMES as u64);
+    // ... and the guard's trip counters, which count exactly what the
+    // cell's guard statistics count.
+    for cell in &on {
+        let trips = |stage| cell.telemetry.counter("guard_monitor_trip_total", 0, stage);
+        assert_eq!(trips("data"), cell.detected_data_faults, "data-plane trips: {}", cell.label);
+        assert_eq!(
+            ["det", "tra", "loc", "plan"].map(trips).iter().sum::<u64>(),
+            cell.monitor_trips,
+            "monitor trips: {}",
+            cell.label
+        );
+    }
+}
+
+/// A checkpoint restore rewinds the supervisor, never its telemetry:
+/// the frames a crash restart replays are counted again, and the crash
+/// and restart counters agree with the cell's own ledger.
+#[test]
+fn restore_does_not_rewind_telemetry() {
+    let assets = FleetAssets::urban(RES);
+    let pipeline = FleetConfig::default().pipeline;
+    let faults = FaultConfig { crash_rate: 0.08, ..FaultConfig::stress() };
+    let spec = CellSpec::new("crashy", faults, 0xC4A5, FRAMES)
+        .with_recovery(RecoveryPolicy::new(4, 8));
+    let session = TelemetrySession::begin();
+    let (cell, _) = run_cell(&assets, &spec, &pipeline);
+    session.finish();
+
+    assert!(cell.restarts >= 1, "seed must restart at least once");
+    assert!(cell.replayed_frames > cell.restarts, "a restart must replay settled frames");
+    let by_stage = |metric| {
+        FaultStage::ALL.iter().map(|s| cell.telemetry.counter(metric, 0, s.label())).sum::<u64>()
+    };
+    assert_eq!(by_stage("sup_crash_total"), cell.crashes);
+    assert_eq!(by_stage("sup_restart_total"), cell.restarts);
+    // Each restart re-settles every replayed frame except the crashed
+    // one, which never settled before the crash.
+    assert_eq!(
+        cell.telemetry.counter("sup_frames_total", 0, ""),
+        cell.frames + cell.replayed_frames - cell.restarts,
+    );
 }
 
 /// The fleet-merged registry is a pure function of the grid: 1, 2 and 8
@@ -96,7 +139,7 @@ fn fleet_registry_byte_identical_across_worker_counts_and_reruns() {
             assert_eq!(got.dumps, want.dumps, "flight dumps diverged: {}", got.label);
         }
     }
-    drop(session.finish());
+    session.finish();
 }
 
 /// The trigger matrix: a stress cell must dump on both escalation

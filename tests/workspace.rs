@@ -119,7 +119,7 @@ fn panic_site_ledger_matches_the_committed_count() {
 /// and benches, or a doctest — or when it appears in the signature of
 /// one that is; everything else is `pub(crate)`, which this does not
 /// count. The count may only fall.
-const PUB_ITEMS: usize = 884;
+const PUB_ITEMS: usize = 878;
 
 /// Occurrences in `text` of `pub` followed by one of the counted
 /// declaration keywords, each as a whole word.
@@ -142,6 +142,41 @@ fn pub_item_ledger_matches_the_committed_count() {
     assert_eq!(
         count, PUB_ITEMS,
         "crates/*/src now declares {count} non-test pub items; set PUB_ITEMS to {count}"
+    );
+}
+
+/// Process-global mutable state in the same non-test text: each
+/// `thread_local!` block, plus each `static` that is `mut` or whose type
+/// is an atomic, `Mutex`, `RwLock`, `OnceLock` or `LazyLock`. State a
+/// component can own is owned; the count may only fall.
+const GLOBAL_STATE: usize = 16;
+
+/// Lines of `text` that open a `thread_local!` block or declare a
+/// counted mutable `static`.
+fn global_state(text: &str) -> usize {
+    const CELLS: [&str; 5] = ["Atomic", "Mutex<", "RwLock<", "OnceLock<", "LazyLock<"];
+    text.lines()
+        .map(|line| line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub "))
+        .filter(|decl| {
+            decl.starts_with("thread_local!")
+                || decl.strip_prefix("static ").is_some_and(|rest| {
+                    rest.starts_with("mut ")
+                        || rest
+                            .split_once(": ")
+                            .is_some_and(|(_, ty)| CELLS.iter().any(|c| ty.starts_with(c)))
+                })
+        })
+        .count()
+}
+
+#[test]
+fn global_state_ledger_matches_the_committed_count() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let count: usize = non_test_sources(root).iter().map(|text| global_state(text)).sum();
+    assert_eq!(
+        count, GLOBAL_STATE,
+        "crates/*/src now holds {count} thread_local! blocks and mutable statics; \
+         set GLOBAL_STATE to {count}"
     );
 }
 
