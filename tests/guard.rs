@@ -95,6 +95,13 @@ fn data_plane_faults_are_detected_and_escalated() {
         let before = *sup.guard_stats();
         let out = sup.process(&frame.image, frame.time_s);
         let after = *sup.guard_stats();
+        // The frame result carries the same window as the snapshots.
+        let g = out.guard;
+        assert_eq!(g.digest_checks, after.digest_checks - before.digest_checks);
+        assert_eq!(g.digest_mismatches, after.digest_mismatches - before.digest_mismatches);
+        assert_eq!(g.stuck_detected, after.stuck_detected - before.stuck_detected);
+        assert_eq!(g.dual_recovered, after.dual_recovered - before.dual_recovered);
+        assert_eq!(g.monitor_trips(), after.monitor_trips() - before.monitor_trips());
         let fault = out.faults.blackout
             || out.faults.stuck
             || out.faults.pixel_corruption.is_some();
