@@ -1,7 +1,8 @@
 //! The predictive deadline governor: forecast slack, walk the ladder.
 
-use super::knobs::{default_ladder, AnytimeConfig, NominalCosts, QualityKnobs, QualityLevel};
-use super::predictor::{LatencyPredictor, STAGES, STAGE_DET};
+use super::knobs::{default_ladder, AnytimeConfig, QualityKnobs, QualityLevel};
+use super::predictor::LatencyPredictor;
+use adsim_platform::Component;
 
 /// Degrade when the forecast exceeds this fraction of the budget /
 /// deadline.
@@ -63,8 +64,6 @@ pub(crate) struct Governor {
     enabled: bool,
     /// The degradation ladder, best quality first.
     ladder: Vec<QualityLevel>,
-    /// Nominal full-quality stage costs (ms).
-    nominal: NominalCosts,
     predictor: LatencyPredictor,
     level: usize,
     last_switch: Option<u64>,
@@ -84,7 +83,6 @@ impl Governor {
         Self {
             enabled: cfg == AnytimeConfig::On,
             ladder: default_ladder(),
-            nominal: NominalCosts::default(),
             predictor: LatencyPredictor::new(EWMA_ALPHA, HORIZON_FRAMES),
             level: 0,
             last_switch: None,
@@ -138,22 +136,22 @@ impl Governor {
     /// Nominal cost of `stage` at the active rung (ms) — what the
     /// supervisor charges multiplicative latency faults against.
     /// Defined even when disabled (rung 0 factors).
-    pub(crate) fn nominal_stage_ms(&self, stage: usize) -> f64 {
-        self.nominal.stage_ms(stage) * self.current().factor(stage)
+    pub(crate) fn nominal_stage_ms(&self, stage: Component) -> f64 {
+        self.current().nominal_ms(stage)
     }
 
     /// Nominal end-to-end cost at the active rung (ms).
     pub(crate) fn nominal_e2e_ms(&self) -> f64 {
-        self.nominal.e2e_ms(self.current())
+        self.current().nominal_e2e_ms()
     }
 
     /// Forecast detection extra and summed end-to-end extras at `level`
     /// (ms). Extras scale with the rung's cost factors, exactly as the
     /// supervisor charges multiplicative latency faults.
-    fn forecast_at(&self, fc: &[f64; STAGES], level: usize) -> (f64, f64) {
+    fn forecast_at(&self, fc: &[f64; 5], level: usize) -> (f64, f64) {
         let lvl = &self.ladder[level];
-        let det = fc[STAGE_DET] * lvl.det_factor;
-        let e2e = (0..STAGES).map(|s| fc[s] * lvl.factor(s)).sum();
+        let det = fc[Component::Detection as usize] * lvl.det_factor;
+        let e2e = Component::ALL.iter().map(|&c| fc[c as usize] * lvl.factor(c)).sum();
         (det, e2e)
     }
 
@@ -180,7 +178,7 @@ impl Governor {
         // its nominal cost — a miss is nominal + extras > deadline).
         let fits = |gov: &Self, level: usize, fraction: f64| {
             let (det, e2e) = gov.forecast_at(&fc, level);
-            let slack = (deadline_ms - gov.nominal.e2e_ms(&gov.ladder[level])).max(0.0);
+            let slack = (deadline_ms - gov.ladder[level].nominal_e2e_ms()).max(0.0);
             det <= fraction * stage_budget_ms && e2e <= fraction * slack
         };
         let len = self.ladder.len();
@@ -235,13 +233,12 @@ impl Governor {
     /// normalizes them to full quality, so predictor state describes
     /// the underlying load independent of the knob setting. Returns the
     /// absolute error of the summed forecast (ms), once one exists.
-    pub(crate) fn observe(&mut self, extras_ms: [f64; STAGES]) -> Option<f64> {
+    pub(crate) fn observe(&mut self, extras_ms: [f64; 5]) -> Option<f64> {
         if !self.enabled {
             return None;
         }
         let lvl = &self.ladder[self.level];
-        let normalized: [f64; STAGES] =
-            std::array::from_fn(|s| extras_ms[s] / lvl.factor(s).max(1e-9));
+        let normalized = Component::ALL.map(|c| extras_ms[c as usize] / lvl.factor(c).max(1e-9));
         let err =
             self.has_forecast.then(|| (self.last_fc_sum - normalized.iter().sum::<f64>()).abs());
         self.predictor.observe(normalized);

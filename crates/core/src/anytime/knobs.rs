@@ -1,7 +1,7 @@
 //! Quality knobs, the degradation ladder, and the governor's on/off
 //! switch.
 
-use super::predictor::{STAGES, STAGE_DET, STAGE_FUS, STAGE_LOC, STAGE_MOT, STAGE_TRA};
+use adsim_platform::Component;
 
 /// Which detection model family the detector should run. The concrete
 /// mapping (which network a variant names) lives in the pipeline layer;
@@ -57,66 +57,33 @@ pub(crate) struct QualityLevel {
 impl QualityLevel {
     /// The cost factor this rung applies to `stage` (1.0 for stages
     /// without a knob).
-    pub(crate) fn factor(&self, stage: usize) -> f64 {
+    pub(crate) fn factor(&self, stage: Component) -> f64 {
         match stage {
-            STAGE_DET => self.det_factor,
-            STAGE_TRA => self.tra_factor,
-            _ => 1.0,
-        }
-    }
-}
-
-/// Deterministic nominal per-stage costs (ms) at full quality — the
-/// governor's virtual-clock cost model. These stand in for measured
-/// wall time so that every decision is a pure function of the fault
-/// schedule, preserving fleet byte-identity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct NominalCosts {
-    /// Detection (DET).
-    pub detection_ms: f64,
-    /// Tracking (TRA).
-    pub tracking_ms: f64,
-    /// Localization (LOC).
-    pub localization_ms: f64,
-    /// Fusion.
-    pub fusion_ms: f64,
-    /// Motion planning.
-    pub motion_ms: f64,
-}
-
-impl NominalCosts {
-    /// The nominal cost of `stage` at full quality.
-    pub(crate) fn stage_ms(&self, stage: usize) -> f64 {
-        match stage {
-            STAGE_DET => self.detection_ms,
-            STAGE_TRA => self.tracking_ms,
-            STAGE_LOC => self.localization_ms,
-            STAGE_FUS => self.fusion_ms,
-            STAGE_MOT => self.motion_ms,
-            _ => 0.0,
+            Component::Detection => self.det_factor,
+            Component::Tracking => self.tra_factor,
+            Component::Localization | Component::Fusion | Component::MotionPlanning => 1.0,
         }
     }
 
-    /// Nominal end-to-end cost at the given quality level.
-    pub(crate) fn e2e_ms(&self, level: &QualityLevel) -> f64 {
-        (0..STAGES).map(|s| self.stage_ms(s) * level.factor(s)).sum()
+    /// Nominal cost of `stage` at this rung (ms).
+    pub(crate) fn nominal_ms(&self, stage: Component) -> f64 {
+        NOMINAL_MS[stage as usize] * self.factor(stage)
+    }
+
+    /// Nominal end-to-end cost at this rung (ms).
+    pub(crate) fn nominal_e2e_ms(&self) -> f64 {
+        Component::ALL.iter().map(|&c| self.nominal_ms(c)).sum()
     }
 }
 
-impl Default for NominalCosts {
-    /// DET-dominated, end-to-end 80 ms at full quality — 20 ms of
-    /// slack under the paper's 100 ms deadline, matching the shape of
-    /// its Fig. 6 latency breakdown.
-    fn default() -> Self {
-        Self {
-            detection_ms: 40.0,
-            tracking_ms: 15.0,
-            localization_ms: 20.0,
-            fusion_ms: 2.0,
-            motion_ms: 3.0,
-        }
-    }
-}
+/// Deterministic nominal per-stage costs (ms) at full quality, indexed
+/// by `Component as usize` — the governor's virtual-clock cost model.
+/// These stand in for measured wall time so that every decision is a
+/// pure function of the fault schedule, preserving fleet byte-identity.
+/// DET-dominated, end-to-end 80 ms at full quality: 20 ms of slack
+/// under the paper's 100 ms deadline, matching the shape of its Fig. 6
+/// latency breakdown.
+const NOMINAL_MS: [f64; 5] = [40.0, 15.0, 20.0, 2.0, 3.0];
 
 /// The default three-rung ladder, full quality first.
 ///
@@ -162,7 +129,7 @@ pub(crate) fn default_ladder() -> Vec<QualityLevel> {
 /// [`Default`]) disables it entirely: no prediction, no knob changes,
 /// and the supervisor's behavior is bit-identical to a build without
 /// this crate. [`AnytimeConfig::On`] walks `default_ladder` with the
-/// `NominalCosts::default` cost model.
+/// `NOMINAL_MS` cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AnytimeConfig {
     /// Governor inert.
@@ -189,18 +156,18 @@ mod tests {
 
     #[test]
     fn nominal_e2e_leaves_slack_under_the_deadline() {
-        let (nominal, ladder) = (NominalCosts::default(), default_ladder());
-        let full = nominal.e2e_ms(&ladder[0]);
+        let ladder = default_ladder();
+        let full = ladder[0].nominal_e2e_ms();
         assert!(full < 100.0, "full-quality nominal {full} must fit the 100 ms deadline");
-        let min = nominal.e2e_ms(ladder.last().unwrap());
+        let min = ladder.last().unwrap().nominal_e2e_ms();
         assert!(min < 0.5 * full, "minimum rung must at least halve the nominal cost");
     }
 
     #[test]
     fn factors_cover_all_stages() {
         let lvl = &default_ladder()[1];
-        assert_eq!(lvl.factor(STAGE_LOC), 1.0);
-        assert_eq!(lvl.factor(STAGE_DET), lvl.det_factor);
-        assert_eq!(lvl.factor(STAGE_TRA), lvl.tra_factor);
+        assert_eq!(lvl.factor(Component::Localization), 1.0);
+        assert_eq!(lvl.factor(Component::Detection), lvl.det_factor);
+        assert_eq!(lvl.factor(Component::Tracking), lvl.tra_factor);
     }
 }

@@ -35,4 +35,3 @@ pub(crate) use governor::Governor;
 pub use governor::{GovernorEvent, DWELL_FRAMES};
 pub(crate) use knobs::{ModelVariant, QualityKnobs};
 pub use knobs::AnytimeConfig;
-pub(crate) use predictor::{STAGE_DET, STAGE_FUS, STAGE_LOC, STAGE_MOT, STAGE_TRA};

@@ -1,18 +1,5 @@
 //! Streaming per-stage latency prediction (EWMA level + trend).
 
-/// Number of pipeline stages the predictor tracks (Fig. 1's engines).
-pub(crate) const STAGES: usize = 5;
-/// Stage index: object detection.
-pub(crate) const STAGE_DET: usize = 0;
-/// Stage index: object tracking.
-pub(crate) const STAGE_TRA: usize = 1;
-/// Stage index: localization.
-pub(crate) const STAGE_LOC: usize = 2;
-/// Stage index: sensor fusion.
-pub(crate) const STAGE_FUS: usize = 3;
-/// Stage index: motion planning.
-pub(crate) const STAGE_MOT: usize = 4;
-
 /// Double-exponential smoother for one stage: an EWMA level plus an
 /// EWMA of the level's frame-to-frame change (the trend). The forecast
 /// extrapolates the trend over the horizon, which is what lets a slow
@@ -47,7 +34,8 @@ impl StageSmoother {
 }
 
 /// Streaming per-stage predictor over **virtual** (injected) latency
-/// samples, normalized to full quality.
+/// samples, normalized to full quality. Per-stage arrays are indexed
+/// by `Component as usize`.
 ///
 /// Samples must be quality-invariant: the caller divides each stage's
 /// observed virtual extra by the cost factor of the quality level it
@@ -57,7 +45,7 @@ impl StageSmoother {
 /// rungs without separate estimators per rung.
 #[derive(Debug, Clone)]
 pub(crate) struct LatencyPredictor {
-    stages: [StageSmoother; STAGES],
+    stages: [StageSmoother; 5],
     alpha: f64,
     horizon: f64,
 }
@@ -67,7 +55,7 @@ impl LatencyPredictor {
     /// horizon (frames). `alpha` is clamped to `(0, 1]`.
     pub(crate) fn new(alpha: f64, horizon_frames: f64) -> Self {
         Self {
-            stages: [StageSmoother::default(); STAGES],
+            stages: [StageSmoother::default(); 5],
             alpha: alpha.clamp(1e-6, 1.0),
             horizon: horizon_frames.max(0.0),
         }
@@ -75,7 +63,7 @@ impl LatencyPredictor {
 
     /// Folds one frame's normalized per-stage samples (ms) into the
     /// smoothers.
-    pub(crate) fn observe(&mut self, samples: [f64; STAGES]) {
+    pub(crate) fn observe(&mut self, samples: [f64; 5]) {
         for (s, sample) in self.stages.iter_mut().zip(samples) {
             s.observe(sample, self.alpha);
         }
@@ -83,7 +71,7 @@ impl LatencyPredictor {
 
     /// Forecast per stage for the configured horizon (ms, normalized
     /// to full quality, never negative).
-    pub(crate) fn forecast(&self) -> [f64; STAGES] {
+    pub(crate) fn forecast(&self) -> [f64; 5] {
         std::array::from_fn(|i| self.stages[i].forecast(self.horizon))
     }
 }
@@ -91,11 +79,14 @@ impl LatencyPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adsim_platform::Component;
+
+    const DET: usize = Component::Detection as usize;
 
     #[test]
     fn cold_predictor_forecasts_zero() {
         let p = LatencyPredictor::new(0.3, 3.0);
-        assert_eq!(p.forecast(), [0.0; STAGES]);
+        assert_eq!(p.forecast(), [0.0; 5]);
     }
 
     #[test]
@@ -105,8 +96,8 @@ mod tests {
             p.observe([10.0, 0.0, 0.0, 0.0, 0.0]);
         }
         let f = p.forecast();
-        assert!((f[STAGE_DET] - 10.0).abs() < 0.5, "det forecast {}", f[STAGE_DET]);
-        assert_eq!(f[STAGE_TRA], 0.0);
+        assert!((f[DET] - 10.0).abs() < 0.5, "det forecast {}", f[DET]);
+        assert_eq!(f[Component::Tracking as usize], 0.0);
     }
 
     #[test]
@@ -119,7 +110,7 @@ mod tests {
             last = 2.0 * k as f64;
             p.observe([last, 0.0, 0.0, 0.0, 0.0]);
         }
-        assert!(p.forecast()[STAGE_DET] > last, "forecast {} vs sample {last}", p.forecast()[STAGE_DET]);
+        assert!(p.forecast()[DET] > last, "forecast {} vs sample {last}", p.forecast()[DET]);
     }
 
     #[test]
@@ -129,9 +120,9 @@ mod tests {
             p.observe([30.0, 0.0, 0.0, 0.0, 0.0]);
         }
         for _ in 0..50 {
-            p.observe([0.0; STAGES]);
+            p.observe([0.0; 5]);
         }
-        assert!(p.forecast()[STAGE_DET] < 1.0);
+        assert!(p.forecast()[DET] < 1.0);
     }
 
     #[test]

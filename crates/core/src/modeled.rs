@@ -3,7 +3,7 @@ use adsim_platform::{resolution_scale, Component, LatencyModel};
 use adsim_stats::{LatencyRecorder, Rng64};
 
 /// Latencies of one simulated frame (ms).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FrameLatency {
     /// Object detection.
     pub detection: f64,
@@ -33,6 +33,28 @@ impl FrameLatency {
     pub fn perception(&self) -> f64 {
         (self.detection + self.tracking).max(self.localization)
     }
+
+    /// One stage's latency.
+    pub(crate) fn stage(&self, c: Component) -> f64 {
+        match c {
+            Component::Detection => self.detection,
+            Component::Tracking => self.tracking,
+            Component::Localization => self.localization,
+            Component::Fusion => self.fusion,
+            Component::MotionPlanning => self.motion_planning,
+        }
+    }
+
+    /// One stage's latency, for charging it.
+    pub(crate) fn stage_mut(&mut self, c: Component) -> &mut f64 {
+        match c {
+            Component::Detection => &mut self.detection,
+            Component::Tracking => &mut self.tracking,
+            Component::Localization => &mut self.localization,
+            Component::Fusion => &mut self.fusion,
+            Component::MotionPlanning => &mut self.motion_planning,
+        }
+    }
 }
 
 /// Distributions recorded over a simulation run.
@@ -53,6 +75,29 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// Empty recorders with room for `frames` samples each.
+    pub(crate) fn with_capacity(frames: usize) -> Self {
+        let r = || LatencyRecorder::with_capacity(frames);
+        Self {
+            detection: r(),
+            tracking: r(),
+            localization: r(),
+            fusion: r(),
+            motion_planning: r(),
+            end_to_end: r(),
+        }
+    }
+
+    /// Records one frame's stage and end-to-end latencies.
+    pub(crate) fn record(&mut self, f: &FrameLatency) {
+        self.detection.record(f.detection);
+        self.tracking.record(f.tracking);
+        self.localization.record(f.localization);
+        self.fusion.record(f.fusion);
+        self.motion_planning.record(f.motion_planning);
+        self.end_to_end.record(f.end_to_end());
+    }
+
     /// Recorder for one component.
     pub fn component(&self, c: Component) -> &LatencyRecorder {
         match c {
@@ -106,22 +151,10 @@ impl ModeledPipeline {
 
     /// Simulates `frames` frames, recording all distributions.
     pub fn simulate(&mut self, frames: usize, pixel_ratio: f64) -> PipelineStats {
-        let mut stats = PipelineStats {
-            detection: LatencyRecorder::with_capacity(frames),
-            tracking: LatencyRecorder::with_capacity(frames),
-            localization: LatencyRecorder::with_capacity(frames),
-            fusion: LatencyRecorder::with_capacity(frames),
-            motion_planning: LatencyRecorder::with_capacity(frames),
-            end_to_end: LatencyRecorder::with_capacity(frames),
-        };
+        let mut stats = PipelineStats::with_capacity(frames);
         for _ in 0..frames {
             let f = self.simulate_frame(pixel_ratio);
-            stats.detection.record(f.detection);
-            stats.tracking.record(f.tracking);
-            stats.localization.record(f.localization);
-            stats.fusion.record(f.fusion);
-            stats.motion_planning.record(f.motion_planning);
-            stats.end_to_end.record(f.end_to_end());
+            stats.record(&f);
         }
         stats
     }

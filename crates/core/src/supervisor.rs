@@ -31,20 +31,15 @@
 //! runtime thread count, while wall clock is still folded into the
 //! *reported* latency for deadline accounting.
 
-use crate::anytime::{
-    AnytimeConfig, Governor, GovernorEvent, QualityKnobs, STAGE_DET, STAGE_FUS, STAGE_LOC,
-    STAGE_MOT, STAGE_TRA,
-};
+use crate::anytime::{AnytimeConfig, Governor, GovernorEvent, QualityKnobs};
 use crate::modeled::{FrameLatency, ModeledPipeline, PipelineStats};
 use crate::native::{NativeFrameResult, NativePipeline, PipelineSnapshot, ProcessControl};
 use adsim_dnn::detection::Detection;
-use adsim_faults::{
-    blackout_frame, corrupt_pixels, FaultInjector, FaultStage, FrameFaults, InjectedCrash,
-};
+use adsim_faults::{blackout_frame, corrupt_pixels, FaultInjector, FrameFaults, InjectedCrash};
 use adsim_guard::{digest_image, GuardConfig, GuardEvent, GuardStats, Monitor, PipelineGuard};
 use adsim_perception::BatchRequest;
 use adsim_planning::MotionPlan;
-use adsim_stats::LatencyRecorder;
+use adsim_platform::Component;
 use adsim_telemetry::{DumpTrigger, FlightDump, FlightRecorder, FrameRecord, MetricsRegistry};
 use adsim_vision::{GrayImage, Pose2};
 
@@ -69,16 +64,33 @@ pub enum DegradedMode {
     QualityReduced,
 }
 
-impl std::fmt::Display for DegradedMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl DegradedMode {
+    /// Every mode, in declaration order. A mode's index here is its
+    /// slot in the supervisor's mode table and its bit position in
+    /// [`FrameRecord::mode_bits`] (the `adsim_telemetry::MODE_*` bits).
+    pub(crate) const ALL: [DegradedMode; 5] = [
+        DegradedMode::TrackerOnly,
+        DegradedMode::DeadReckoning,
+        DegradedMode::SpeedReduced,
+        DegradedMode::SafeStop,
+        DegradedMode::QualityReduced,
+    ];
+
+    /// The stable name: the `Display` string and the telemetry label.
+    fn name(self) -> &'static str {
+        match self {
             DegradedMode::TrackerOnly => "tracker-only",
             DegradedMode::DeadReckoning => "dead-reckoning",
             DegradedMode::SpeedReduced => "speed-reduced",
             DegradedMode::SafeStop => "safe-stop",
             DegradedMode::QualityReduced => "quality-reduced",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for DegradedMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -190,7 +202,7 @@ pub enum DegradationEventKind {
     /// A stalled stage was retried.
     Retry {
         /// The stage retried.
-        stage: FaultStage,
+        stage: Component,
         /// Attempt number (1-based).
         attempt: u32,
         /// Backoff charged before this attempt (ms).
@@ -201,7 +213,7 @@ pub enum DegradationEventKind {
     /// rung above retry and below safe stop.
     Restart {
         /// Stage whose crash triggered the restart.
-        stage: FaultStage,
+        stage: Component,
         /// Frame index the restored checkpoint resumes from.
         checkpoint_frame: u64,
         /// Frames deterministically replayed to reach the crash frame.
@@ -473,11 +485,9 @@ impl MonitorFlags {
 struct SupervisorCore {
     cfg: SupervisorConfig,
     governor: Governor,
-    tracker_only_since: Option<u64>,
-    dead_reck_since: Option<u64>,
-    speed_red_since: Option<u64>,
-    safe_stop_since: Option<u64>,
-    quality_since: Option<u64>,
+    /// The mode table: the frame each mode was entered on while it is
+    /// active, indexed by `DegradedMode as usize`.
+    since: [Option<u64>; 5],
     consecutive_lost: u32,
     consecutive_blackout: u32,
     healthy_streak: u32,
@@ -516,20 +526,6 @@ fn transition_instant(mode: DegradedMode, entered: bool) -> &'static str {
     }
 }
 
-/// Stable telemetry label for a degraded mode.
-fn mode_label(mode: DegradedMode) -> &'static str {
-    match mode {
-        DegradedMode::TrackerOnly => "tracker-only",
-        DegradedMode::DeadReckoning => "dead-reckoning",
-        DegradedMode::SpeedReduced => "speed-reduced",
-        DegradedMode::SafeStop => "safe-stop",
-        DegradedMode::QualityReduced => "quality-reduced",
-    }
-}
-
-/// Stable telemetry label for a pipeline stage (predictor index order).
-const STAGE_LABELS: [&str; 5] = ["det", "tra", "loc", "fus", "mot"];
-
 /// Packs a frame's injected faults into [`FrameRecord::fault_bits`].
 fn fault_bits(faults: &FrameFaults) -> u16 {
     use adsim_telemetry as t;
@@ -567,48 +563,6 @@ fn fault_bits(faults: &FrameFaults) -> u16 {
     bits
 }
 
-/// Maps a fault stage onto the anytime predictor's stage index.
-fn stage_index(stage: FaultStage) -> usize {
-    match stage {
-        FaultStage::Detection => STAGE_DET,
-        FaultStage::Tracking => STAGE_TRA,
-        FaultStage::Localization => STAGE_LOC,
-        FaultStage::Fusion => STAGE_FUS,
-        FaultStage::MotionPlanning => STAGE_MOT,
-    }
-}
-
-/// Emits an enter/exit event when a mode's desired state changes.
-fn toggle_mode(
-    slot: &mut Option<u64>,
-    events: &mut Vec<DegradationEvent>,
-    stats: &mut RecoveryStats,
-    mode: DegradedMode,
-    want: bool,
-    cause: DegradationCause,
-    frame: u64,
-) {
-    match (*slot, want) {
-        (None, true) => {
-            *slot = Some(frame);
-            events.push(DegradationEvent { frame, kind: DegradationEventKind::Entered { mode, cause } });
-            adsim_trace::instant(transition_instant(mode, true));
-            if mode == DegradedMode::SafeStop {
-                stats.safe_stops += 1;
-            }
-        }
-        (Some(since), false) => {
-            *slot = None;
-            events.push(DegradationEvent {
-                frame,
-                kind: DegradationEventKind::Exited { mode, frames_degraded: frame - since },
-            });
-            adsim_trace::instant(transition_instant(mode, false));
-        }
-        _ => {}
-    }
-}
-
 impl SupervisorCore {
     fn new(cfg: SupervisorConfig) -> Self {
         let governor = Governor::new(cfg.anytime);
@@ -618,11 +572,7 @@ impl SupervisorCore {
             governor,
             recorder,
             dumps: Vec::new(),
-            tracker_only_since: None,
-            dead_reck_since: None,
-            speed_red_since: None,
-            safe_stop_since: None,
-            quality_since: None,
+            since: [None; 5],
             consecutive_lost: 0,
             consecutive_blackout: 0,
             healthy_streak: 0,
@@ -648,21 +598,9 @@ impl SupervisorCore {
         // a pre-emptive step-down shrinks this frame's drift charge —
         // that is the whole mechanism by which it averts the miss.
         self.governor.decide(frame, STAGE_BUDGET_MS, DEADLINE_MS);
-        let mut extra = FrameLatency {
-            detection: 0.0,
-            tracking: 0.0,
-            localization: 0.0,
-            fusion: 0.0,
-            motion_planning: 0.0,
-        };
+        let mut extra = FrameLatency::default();
         for &(stage, ms) in &faults.spikes {
-            match stage {
-                FaultStage::Detection => extra.detection += ms,
-                FaultStage::Tracking => extra.tracking += ms,
-                FaultStage::Localization => extra.localization += ms,
-                FaultStage::Fusion => extra.fusion += ms,
-                FaultStage::MotionPlanning => extra.motion_planning += ms,
-            }
+            *extra.stage_mut(stage) += ms;
         }
 
         let mut skip_detection = false;
@@ -688,14 +626,8 @@ impl SupervisorCore {
                 adsim_trace::instant("degrade.retry");
                 self.stats.retries += 1;
             }
-            match stall.stage {
-                FaultStage::Detection => extra.detection += stall_cost,
-                FaultStage::Tracking => extra.tracking += stall_cost,
-                FaultStage::Localization => extra.localization += stall_cost,
-                FaultStage::Fusion => extra.fusion += stall_cost,
-                FaultStage::MotionPlanning => extra.motion_planning += stall_cost,
-            }
-            if stall.attempts > self.cfg.max_retries && stall.stage == FaultStage::Detection {
+            *extra.stage_mut(stall.stage) += stall_cost;
+            if stall.attempts > self.cfg.max_retries && stall.stage == Component::Detection {
                 skip_detection = true;
                 detection_cause =
                     Some(DegradationCause::DetectionStalled { attempts: stall.attempts });
@@ -706,26 +638,14 @@ impl SupervisorCore {
         // the quality level in force — a degraded detector pays a
         // proportionally smaller drift tax.
         for &(stage, load) in &faults.drift {
-            let charge = (load - 1.0).max(0.0) * self.governor.nominal_stage_ms(stage_index(stage));
-            match stage {
-                FaultStage::Detection => extra.detection += charge,
-                FaultStage::Tracking => extra.tracking += charge,
-                FaultStage::Localization => extra.localization += charge,
-                FaultStage::Fusion => extra.fusion += charge,
-                FaultStage::MotionPlanning => extra.motion_planning += charge,
-            }
+            let charge = (load - 1.0).max(0.0) * self.governor.nominal_stage_ms(stage);
+            *extra.stage_mut(stage) += charge;
         }
         // The predictor sees the same pre-clamp virtual latencies the
         // watchdog compares against its budget — the governor never
         // gets information the reactive path lacks, it only uses it
         // one forecast horizon earlier.
-        let samples = [
-            extra.detection,
-            extra.tracking,
-            extra.localization,
-            extra.fusion,
-            extra.motion_planning,
-        ];
+        let samples = Component::ALL.map(|c| extra.stage(c));
         let virtual_e2e_ms = self.governor.nominal_e2e_ms() + samples.iter().sum::<f64>();
         let forecast_err_ms = self.governor.observe(samples);
         // Watchdog: a stage whose virtual latency blows the budget is
@@ -752,7 +672,7 @@ impl SupervisorCore {
     /// The dead-reckoned pose to offer fusion this frame, when the
     /// supervisor is (or is about to be) covering for localization.
     fn fallback_pose(&self, lock_lost: bool) -> Option<Pose2> {
-        if !(lock_lost || self.dead_reck_since.is_some()) {
+        if !(lock_lost || self.active(DegradedMode::DeadReckoning)) {
             return None;
         }
         match (self.reckon, self.delta) {
@@ -822,7 +742,7 @@ impl SupervisorCore {
 
         let want_tracker_only = !detection_ran;
         let want_dead_reck = covered;
-        let mut want_safe = self.safe_stop_since.is_some();
+        let mut want_safe = self.active(DegradedMode::SafeStop);
         if want_safe && self.healthy_streak >= RECOVER_FRAMES {
             want_safe = false;
         }
@@ -841,24 +761,6 @@ impl SupervisorCore {
         let want_speed_red =
             (want_tracker_only || want_dead_reck || monitors.soft()) && !want_safe;
 
-        toggle_mode(
-            &mut self.tracker_only_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::TrackerOnly,
-            want_tracker_only,
-            plan.detection_cause.unwrap_or(DegradationCause::AccompanyingDegradation),
-            frame,
-        );
-        toggle_mode(
-            &mut self.dead_reck_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::DeadReckoning,
-            want_dead_reck,
-            DegradationCause::LockLost { injected: faults.lock_loss },
-            frame,
-        );
         // When a monitor trip is the *only* reason for the speed cap,
         // log it as the cause; a cap riding along with tracker-only /
         // dead-reckoning keeps the accompanying-degradation cause.
@@ -868,15 +770,6 @@ impl SupervisorCore {
             }
             _ => DegradationCause::AccompanyingDegradation,
         };
-        toggle_mode(
-            &mut self.speed_red_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::SpeedReduced,
-            want_speed_red,
-            speed_red_cause,
-            frame,
-        );
         let safe_cause = if self.terminal_safe_stop {
             DegradationCause::RestartsExhausted { restarts: self.stats.restarts }
         } else if monitors.planner && !collapse {
@@ -887,28 +780,31 @@ impl SupervisorCore {
                 blackout_frames: self.consecutive_blackout,
             }
         };
-        toggle_mode(
-            &mut self.safe_stop_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::SafeStop,
-            want_safe,
-            safe_cause,
-            frame,
-        );
         // Quality reduction is proactive, not a failure: it neither
         // blocks the healthy streak nor forces a speed cap — but it is
         // a degraded mode, logged and counted like the others.
         let want_quality = self.governor.enabled() && self.governor.level() > 0;
-        toggle_mode(
-            &mut self.quality_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::QualityReduced,
-            want_quality,
-            DegradationCause::PredictedMiss { predicted_ms: self.governor.last_forecast_e2e() },
-            frame,
-        );
+        for (mode, want, cause) in [
+            (
+                DegradedMode::TrackerOnly,
+                want_tracker_only,
+                plan.detection_cause.unwrap_or(DegradationCause::AccompanyingDegradation),
+            ),
+            (
+                DegradedMode::DeadReckoning,
+                want_dead_reck,
+                DegradationCause::LockLost { injected: faults.lock_loss },
+            ),
+            (DegradedMode::SpeedReduced, want_speed_red, speed_red_cause),
+            (DegradedMode::SafeStop, want_safe, safe_cause),
+            (
+                DegradedMode::QualityReduced,
+                want_quality,
+                DegradationCause::PredictedMiss { predicted_ms: self.governor.last_forecast_e2e() },
+            ),
+        ] {
+            self.toggle_mode(mode, want, cause, frame);
+        }
 
         let any_active = self.active_modes().any();
         if any_active {
@@ -922,10 +818,10 @@ impl SupervisorCore {
             self.stats.recover_frames_total += len;
             self.stats.max_recover_frames = self.stats.max_recover_frames.max(len);
         }
-        if self.safe_stop_since.is_some() {
+        if self.active(DegradedMode::SafeStop) {
             self.stats.safe_stop_frames += 1;
         }
-        if self.quality_since.is_some() {
+        if self.active(DegradedMode::QualityReduced) {
             self.stats.quality_reduced_frames += 1;
         }
         if reported_e2e_ms > DEADLINE_MS {
@@ -944,23 +840,50 @@ impl SupervisorCore {
         let dump = self.record_frame(faults, plan, monitors, payload_digest, events_before);
 
         Verdict {
-            safe_stop: self.safe_stop_since.is_some(),
-            speed_factor: self.speed_red_since.map(|_| DEGRADED_SPEED_FACTOR),
+            safe_stop: self.active(DegradedMode::SafeStop),
+            speed_factor: self.active(DegradedMode::SpeedReduced).then_some(DEGRADED_SPEED_FACTOR),
             dump,
+        }
+    }
+
+    /// Whether `mode` is active.
+    fn active(&self, mode: DegradedMode) -> bool {
+        self.since[mode as usize].is_some()
+    }
+
+    /// Emits an enter/exit event when a mode's desired state changes.
+    fn toggle_mode(
+        &mut self,
+        mode: DegradedMode,
+        want: bool,
+        cause: DegradationCause,
+        frame: u64,
+    ) {
+        let slot = &mut self.since[mode as usize];
+        match (*slot, want) {
+            (None, true) => {
+                *slot = Some(frame);
+                let kind = DegradationEventKind::Entered { mode, cause };
+                self.events.push(DegradationEvent { frame, kind });
+                adsim_trace::instant(transition_instant(mode, true));
+                if mode == DegradedMode::SafeStop {
+                    self.stats.safe_stops += 1;
+                }
+            }
+            (Some(since), false) => {
+                *slot = None;
+                let kind = DegradationEventKind::Exited { mode, frames_degraded: frame - since };
+                self.events.push(DegradationEvent { frame, kind });
+                adsim_trace::instant(transition_instant(mode, false));
+            }
+            _ => {}
         }
     }
 
     /// The frame's virtual stage costs: each stage's nominal cost at
     /// the quality level in force plus the plan's injected extras.
     fn stage_virtual_ms(&self, plan: &StagePlan) -> [f64; 5] {
-        let extras = [
-            plan.extra.detection,
-            plan.extra.tracking,
-            plan.extra.localization,
-            plan.extra.fusion,
-            plan.extra.motion_planning,
-        ];
-        std::array::from_fn(|i| self.governor.nominal_stage_ms(i) + extras[i])
+        Component::ALL.map(|c| self.governor.nominal_stage_ms(c) + plan.extra.stage(c))
     }
 
     /// Black-box tail of settle: pushes the flight record and dumps the
@@ -975,12 +898,9 @@ impl SupervisorCore {
     ) -> Option<DumpTrigger> {
         use adsim_telemetry as t;
         let frame = faults.frame;
-        let modes = self.active_modes();
-        let mode_bits = ((modes.tracker_only as u8) * t::MODE_TRACKER_ONLY)
-            | ((modes.dead_reckoning as u8) * t::MODE_DEAD_RECKONING)
-            | ((modes.speed_reduced as u8) * t::MODE_SPEED_REDUCED)
-            | ((modes.safe_stop as u8) * t::MODE_SAFE_STOP)
-            | ((modes.quality_reduced as u8) * t::MODE_QUALITY_REDUCED);
+        // Bit `i` is mode-table slot `i` (the `t::MODE_*` layout).
+        let mode_bits = (self.since.iter().enumerate())
+            .fold(0u8, |bits, (i, since)| bits | u8::from(since.is_some()) << i);
         let monitor_bits = ((monitors.data as u8) * t::MONITOR_DATA)
             | ((monitors.detection as u8) * t::MONITOR_DETECTION)
             | ((monitors.tracker as u8) * t::MONITOR_TRACKER)
@@ -1031,17 +951,17 @@ impl SupervisorCore {
 
     fn active_modes(&self) -> ActiveModes {
         ActiveModes {
-            tracker_only: self.tracker_only_since.is_some(),
-            dead_reckoning: self.dead_reck_since.is_some(),
-            speed_reduced: self.speed_red_since.is_some(),
-            safe_stop: self.safe_stop_since.is_some(),
-            quality_reduced: self.quality_since.is_some(),
+            tracker_only: self.active(DegradedMode::TrackerOnly),
+            dead_reckoning: self.active(DegradedMode::DeadReckoning),
+            speed_reduced: self.active(DegradedMode::SpeedReduced),
+            safe_stop: self.active(DegradedMode::SafeStop),
+            quality_reduced: self.active(DegradedMode::QualityReduced),
         }
     }
 
     /// The active quality level's cost multiplier for a stage (1.0
     /// with the governor disabled).
-    fn quality_factor(&self, stage: usize) -> f64 {
+    fn quality_factor(&self, stage: Component) -> f64 {
         if self.governor.enabled() {
             self.governor.current().factor(stage)
         } else {
@@ -1062,43 +982,12 @@ impl SupervisorCore {
     /// terminal state (the vehicle is parked). Idempotent.
     fn finish(&mut self) {
         let frame = self.stats.frames;
-        toggle_mode(
-            &mut self.tracker_only_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::TrackerOnly,
-            false,
-            DegradationCause::AccompanyingDegradation,
-            frame,
-        );
-        toggle_mode(
-            &mut self.dead_reck_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::DeadReckoning,
-            false,
-            DegradationCause::AccompanyingDegradation,
-            frame,
-        );
-        toggle_mode(
-            &mut self.speed_red_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::SpeedReduced,
-            false,
-            DegradationCause::AccompanyingDegradation,
-            frame,
-        );
-        toggle_mode(
-            &mut self.quality_since,
-            &mut self.events,
-            &mut self.stats,
-            DegradedMode::QualityReduced,
-            false,
-            DegradationCause::AccompanyingDegradation,
-            frame,
-        );
-        if self.safe_stop_since.is_none() {
+        for mode in DegradedMode::ALL {
+            if mode != DegradedMode::SafeStop {
+                self.toggle_mode(mode, false, DegradationCause::AccompanyingDegradation, frame);
+            }
+        }
+        if !self.active(DegradedMode::SafeStop) {
             if let Some(start) = self.episode_start.take() {
                 let len = frame - start;
                 self.stats.episodes += 1;
@@ -1535,8 +1424,8 @@ impl Supervisor {
         if plan.virtual_e2e_ms > DEADLINE_MS {
             r.counter_add("sup_virtual_deadline_miss_total", v, "", 1);
         }
-        for (i, &label) in STAGE_LABELS.iter().enumerate() {
-            r.observe_ms("stage_virtual_ms", v, label, stage_virtual_ms[i]);
+        for (c, ms) in Component::ALL.into_iter().zip(stage_virtual_ms) {
+            r.observe_ms("stage_virtual_ms", v, c.key(), ms);
         }
         r.observe_ms("e2e_virtual_ms", v, "", plan.virtual_e2e_ms);
         if let Some(err) = plan.forecast_err_ms {
@@ -1547,26 +1436,28 @@ impl Supervisor {
         }
         r.counter_add("pipeline_frame_total", v, "", 1);
         if !ctrl.skip_detection {
-            r.counter_add("pipeline_detection_total", v, "det", out.detections.len() as u64);
+            let dets = out.detections.len() as u64;
+            r.counter_add("pipeline_detection_total", v, Component::Detection.key(), dets);
         }
         let tracks = out.tracks.len() as f64;
-        r.gauge_set("pipeline_track_count", v, "tra", self.pipeline.frames, tracks);
+        let tra = Component::Tracking.key();
+        r.gauge_set("pipeline_track_count", v, tra, self.pipeline.frames, tracks);
 
         // `get`: a (forbidden) restore since staging may have shortened
         // the logs; it must not panic here.
         for e in self.core.events.get(marks.events..).unwrap_or_default() {
             match e.kind {
                 DegradationEventKind::Entered { mode, .. } => {
-                    r.counter_add("sup_mode_enter_total", v, mode_label(mode), 1);
+                    r.counter_add("sup_mode_enter_total", v, mode.name(), 1);
                     if mode == DegradedMode::SafeStop {
                         r.counter_add("sup_safe_stop_total", v, "", 1);
                     }
                 }
                 DegradationEventKind::Exited { mode, .. } => {
-                    r.counter_add("sup_mode_exit_total", v, mode_label(mode), 1);
+                    r.counter_add("sup_mode_exit_total", v, mode.name(), 1);
                 }
                 DegradationEventKind::Retry { stage, .. } => {
-                    r.counter_add("sup_retry_total", v, STAGE_LABELS[stage_index(stage)], 1);
+                    r.counter_add("sup_retry_total", v, stage.key(), 1);
                 }
                 // Pushed between frames; `record_restart` counts it.
                 DegradationEventKind::Restart { .. } => {}
@@ -1645,10 +1536,10 @@ impl Supervisor {
     /// organic record exists for it) and dumps the flight ring with
     /// the panic payload attached. Call *after* [`Supervisor::restore`]
     /// so the audit trail survives any later restore.
-    pub fn record_cell_crash(&mut self, frame: u64, stage: FaultStage, panic_msg: &str) {
+    pub fn record_cell_crash(&mut self, frame: u64, stage: Component, panic_msg: &str) {
         use adsim_telemetry as t;
         self.core.stats.crashes += 1;
-        self.count("sup_crash_total", stage.label(), 1);
+        self.count("sup_crash_total", stage.key(), 1);
         self.core.recorder.push(FrameRecord {
             frame,
             fault_bits: t::FAULT_CRASH,
@@ -1667,13 +1558,13 @@ impl Supervisor {
     pub fn record_restart(
         &mut self,
         frame: u64,
-        stage: FaultStage,
+        stage: Component,
         checkpoint_frame: u64,
         replayed: u64,
     ) {
         self.core.stats.restarts += 1;
         self.core.stats.replayed_frames += replayed;
-        self.count("sup_restart_total", stage.label(), 1);
+        self.count("sup_restart_total", stage.key(), 1);
         self.core.events.push(DegradationEvent {
             frame,
             kind: DegradationEventKind::Restart { stage, checkpoint_frame, replayed },
@@ -1807,8 +1698,8 @@ impl ModeledSupervisor {
         // Quality-reduced stages cost their scaled nominal share; the
         // factors are exactly 1.0 with the governor off, keeping the
         // governor-off latency stream bit-identical.
-        let det_factor = self.core.quality_factor(STAGE_DET);
-        let tra_factor = self.core.quality_factor(STAGE_TRA);
+        let det_factor = self.core.quality_factor(Component::Detection);
+        let tra_factor = self.core.quality_factor(Component::Tracking);
         let reported = FrameLatency {
             detection: if plan.skip_detection { 0.0 } else { base.detection * det_factor }
                 + plan.extra.detection,
@@ -1834,22 +1725,10 @@ impl ModeledSupervisor {
     /// latencies, and returns the distributions with the recovery
     /// metrics.
     pub fn simulate(&mut self, frames: usize, pixel_ratio: f64) -> (PipelineStats, RecoveryStats) {
-        let mut stats = PipelineStats {
-            detection: LatencyRecorder::with_capacity(frames),
-            tracking: LatencyRecorder::with_capacity(frames),
-            localization: LatencyRecorder::with_capacity(frames),
-            fusion: LatencyRecorder::with_capacity(frames),
-            motion_planning: LatencyRecorder::with_capacity(frames),
-            end_to_end: LatencyRecorder::with_capacity(frames),
-        };
+        let mut stats = PipelineStats::with_capacity(frames);
         for _ in 0..frames {
             let f = self.simulate_frame(pixel_ratio);
-            stats.detection.record(f.detection);
-            stats.tracking.record(f.tracking);
-            stats.localization.record(f.localization);
-            stats.fusion.record(f.fusion);
-            stats.motion_planning.record(f.motion_planning);
-            stats.end_to_end.record(f.end_to_end());
+            stats.record(&f);
         }
         (stats, self.recovery_stats())
     }
@@ -2081,6 +1960,27 @@ mod tests {
             )
         });
         assert!(entered, "safe stop must cite the exhausted restart budget");
+    }
+
+    #[test]
+    fn flight_record_mode_bits_match_the_telemetry_layout() {
+        use adsim_telemetry as t;
+        for (mode, bit) in [
+            (DegradedMode::TrackerOnly, t::MODE_TRACKER_ONLY),
+            (DegradedMode::DeadReckoning, t::MODE_DEAD_RECKONING),
+            (DegradedMode::SpeedReduced, t::MODE_SPEED_REDUCED),
+            (DegradedMode::SafeStop, t::MODE_SAFE_STOP),
+            (DegradedMode::QualityReduced, t::MODE_QUALITY_REDUCED),
+        ] {
+            assert_eq!(DegradedMode::ALL[mode as usize], mode);
+            let mut core = SupervisorCore::new(SupervisorConfig::default());
+            core.since[mode as usize] = Some(0);
+            let faults = FrameFaults::default();
+            let plan = core.plan(&faults);
+            core.record_frame(&faults, &plan, MonitorFlags::default(), 0, 0);
+            let dump = core.recorder.dump(0, DumpTrigger::Manual, 0);
+            assert_eq!(dump.records[0].mode_bits, bit, "{mode}");
+        }
     }
 
     #[test]

@@ -1,48 +1,3 @@
-/// Pipeline stage a fault attaches to (the five engines of Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FaultStage {
-    /// Object detection (DET).
-    Detection,
-    /// Object tracking (TRA).
-    Tracking,
-    /// Localization (LOC).
-    Localization,
-    /// Sensor fusion.
-    Fusion,
-    /// Motion planning.
-    MotionPlanning,
-}
-
-impl FaultStage {
-    /// All stages in pipeline order (the injector draws in this order,
-    /// which is part of the deterministic schedule).
-    pub const ALL: [FaultStage; 5] = [
-        FaultStage::Detection,
-        FaultStage::Tracking,
-        FaultStage::Localization,
-        FaultStage::Fusion,
-        FaultStage::MotionPlanning,
-    ];
-
-    /// Short static label (also the `Display` rendering) — usable as a
-    /// telemetry stage label, which requires `&'static str`.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultStage::Detection => "DET",
-            FaultStage::Tracking => "TRA",
-            FaultStage::Localization => "LOC",
-            FaultStage::Fusion => "FUSION",
-            FaultStage::MotionPlanning => "MOTPLAN",
-        }
-    }
-}
-
-impl std::fmt::Display for FaultStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Fault rates and magnitudes for one campaign.
 ///
 /// All rates are per-frame probabilities in `[0, 1]`. The default is
@@ -204,8 +159,11 @@ mod tests {
 
     #[test]
     fn stage_order_is_pipeline_order() {
-        assert_eq!(FaultStage::ALL[0], FaultStage::Detection);
-        assert_eq!(FaultStage::ALL[4], FaultStage::MotionPlanning);
-        assert_eq!(FaultStage::Localization.to_string(), "LOC");
+        // The injector draws per-stage faults in `Component::ALL`
+        // order, which is part of the deterministic schedule.
+        use adsim_platform::Component;
+        assert_eq!(Component::ALL[0], Component::Detection);
+        assert_eq!(Component::ALL[4], Component::MotionPlanning);
+        assert_eq!(Component::Localization.to_string(), "LOC");
     }
 }

@@ -1,4 +1,5 @@
-use crate::config::{FaultConfig, FaultStage};
+use crate::config::FaultConfig;
+use adsim_platform::Component;
 use adsim_stats::Rng64;
 
 /// Cost of each stalled attempt (ms), charged per retry.
@@ -18,7 +19,7 @@ pub struct PixelCorruption {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerStall {
     /// Stage whose worker stalled.
-    pub stage: FaultStage,
+    pub stage: Component,
     /// Failed attempts before the worker clears.
     pub attempts: u32,
     /// Cost per failed attempt (ms).
@@ -35,7 +36,7 @@ pub struct InjectedCrash {
     /// Frame being processed when the stage panicked.
     pub frame: u64,
     /// Stage that panicked.
-    pub stage: FaultStage,
+    pub stage: Component,
 }
 
 impl std::fmt::Display for InjectedCrash {
@@ -57,7 +58,7 @@ pub struct FrameFaults {
     /// Salt-and-pepper noise on the camera frame.
     pub pixel_corruption: Option<PixelCorruption>,
     /// Added latency per stage (ms), at most one entry per stage.
-    pub spikes: Vec<(FaultStage, f64)>,
+    pub spikes: Vec<(Component, f64)>,
     /// SLAM returns no pose this frame.
     pub lock_loss: bool,
     /// Every reported track box drifts by this normalized offset.
@@ -69,11 +70,11 @@ pub struct FrameFaults {
     /// Sustained latency drift: per-stage load multipliers (> 1.0)
     /// for every stage currently inside a drift episode, in pipeline
     /// order. A stage at load `l` costs `l ×` its nominal this frame.
-    pub drift: Vec<(FaultStage, f64)>,
+    pub drift: Vec<(Component, f64)>,
     /// The scheduled stage panic for this frame, if any (at most one
     /// stage crashes per frame; the earliest pipeline stage whose
     /// sub-stream fired wins).
-    pub crash: Option<FaultStage>,
+    pub crash: Option<Component>,
 }
 
 impl FrameFaults {
@@ -124,7 +125,7 @@ pub enum FaultKind {
     /// A stage took an injected latency hit.
     LatencySpike {
         /// Stage hit.
-        stage: FaultStage,
+        stage: Component,
         /// Added latency (ms).
         extra_ms: f64,
     },
@@ -143,7 +144,7 @@ pub enum FaultKind {
     /// A stage worker wedged.
     WorkerStall {
         /// Stage whose worker stalled.
-        stage: FaultStage,
+        stage: Component,
         /// Failed attempts before it clears.
         attempts: u32,
     },
@@ -156,7 +157,7 @@ pub enum FaultKind {
     /// `per_frame × nominal` each frame for `frames` frames.
     LatencyDriftStarted {
         /// Stage whose cost is drifting.
-        stage: FaultStage,
+        stage: Component,
         /// Episode length in frames.
         frames: u32,
         /// Per-frame load growth (fraction of nominal).
@@ -166,7 +167,7 @@ pub enum FaultKind {
     /// while processing the frame.
     StageCrash {
         /// Stage that panics.
-        stage: FaultStage,
+        stage: Component,
     },
 }
 
@@ -294,13 +295,13 @@ struct FrameDraws {
     blackout_frames: Option<u32>,
     stuck_frames: Option<u32>,
     corruption: Option<PixelCorruption>,
-    spikes: Vec<(FaultStage, f64)>,
+    spikes: Vec<(Component, f64)>,
     lock_loss_frames: Option<u32>,
     shift: Option<(f32, f32)>,
     stall: Option<WorkerStall>,
     skew_s: Option<f64>,
-    drift: Vec<(FaultStage, u32, f64)>,
-    crash: Option<FaultStage>,
+    drift: Vec<(Component, u32, f64)>,
+    crash: Option<Component>,
 }
 
 /// The seeded fault schedule generator.
@@ -321,9 +322,9 @@ pub struct FaultInjector {
     blackout_left: u32,
     stuck_left: u32,
     lock_loss_left: u32,
-    drift_left: [u32; FaultStage::ALL.len()],
-    drift_step: [f64; FaultStage::ALL.len()],
-    drift_load: [f64; FaultStage::ALL.len()],
+    drift_left: [u32; Component::ALL.len()],
+    drift_step: [f64; Component::ALL.len()],
+    drift_load: [f64; Component::ALL.len()],
     events: Vec<FaultEvent>,
 }
 
@@ -337,9 +338,9 @@ impl FaultInjector {
             blackout_left: 0,
             stuck_left: 0,
             lock_loss_left: 0,
-            drift_left: [0; FaultStage::ALL.len()],
-            drift_step: [0.0; FaultStage::ALL.len()],
-            drift_load: [1.0; FaultStage::ALL.len()],
+            drift_left: [0; Component::ALL.len()],
+            drift_step: [0.0; Component::ALL.len()],
+            drift_load: [1.0; Component::ALL.len()],
             events: Vec::new(),
         }
     }
@@ -395,7 +396,7 @@ impl FaultInjector {
             FaultClass::LatencySpikes => {
                 // One sub-stream per stage, derived from the class
                 // stream, so stages are also order-independent.
-                for (i, stage) in FaultStage::ALL.into_iter().enumerate() {
+                for (i, stage) in Component::ALL.into_iter().enumerate() {
                     let mut srng = Rng64::new(rng.next_u64() ^ mix(i as u64));
                     if srng.chance(self.cfg.latency_spike_rate) {
                         let (lo, hi) = self.cfg.latency_spike_ms;
@@ -425,7 +426,7 @@ impl FaultInjector {
                 if rng.chance(self.cfg.stall_rate) {
                     let (lo, hi) = self.cfg.stall_attempts;
                     draws.stall = Some(WorkerStall {
-                        stage: FaultStage::Detection,
+                        stage: Component::Detection,
                         attempts: rng.range_usize(lo as usize, hi as usize + 1) as u32,
                         stall_ms: STALL_MS,
                     });
@@ -440,7 +441,7 @@ impl FaultInjector {
             }
             FaultClass::LatencyDrift => {
                 // One sub-stream per stage, like LatencySpikes.
-                for (i, stage) in FaultStage::ALL.into_iter().enumerate() {
+                for (i, stage) in Component::ALL.into_iter().enumerate() {
                     let mut srng = Rng64::new(rng.next_u64() ^ mix(i as u64));
                     if srng.chance(self.cfg.drift_rate) {
                         let (lo, hi) = self.cfg.drift_frames;
@@ -456,7 +457,7 @@ impl FaultInjector {
                 // One sub-stream per stage, like LatencySpikes; the
                 // earliest pipeline stage whose sub-stream fires is the
                 // frame's (single) crasher.
-                for (i, stage) in FaultStage::ALL.into_iter().enumerate() {
+                for (i, stage) in Component::ALL.into_iter().enumerate() {
                     let mut srng = Rng64::new(rng.next_u64() ^ mix(i as u64));
                     if srng.chance(self.cfg.crash_rate) && draws.crash.is_none() {
                         draws.crash = Some(stage);
@@ -578,7 +579,7 @@ impl FaultInjector {
         // same stage (the new draw is discarded — like an outage, a
         // stage drifts one episode at a time); load resets to nominal
         // the frame after the episode ends.
-        for (i, stage) in FaultStage::ALL.into_iter().enumerate() {
+        for (i, stage) in Component::ALL.into_iter().enumerate() {
             if self.drift_left[i] > 0 {
                 self.drift_left[i] -= 1;
                 self.drift_load[i] += self.drift_step[i];
@@ -623,7 +624,7 @@ mod tests {
 
     /// The drift load multiplier for `stage` (1.0 when the stage is
     /// not inside a drift episode).
-    fn drift_load(f: &FrameFaults, stage: FaultStage) -> f64 {
+    fn drift_load(f: &FrameFaults, stage: Component) -> f64 {
         f.drift.iter().find(|(s, _)| *s == stage).map_or(1.0, |&(_, l)| l)
     }
 
@@ -787,7 +788,7 @@ mod tests {
 
     #[test]
     fn crash_payload_renders_stage_and_frame() {
-        let c = InjectedCrash { frame: 42, stage: FaultStage::Detection };
+        let c = InjectedCrash { frame: 42, stage: Component::Detection };
         assert_eq!(c.to_string(), "injected crash: DET stage panicked at frame 42");
     }
 
@@ -795,7 +796,7 @@ mod tests {
     fn drift_load_defaults_to_nominal() {
         let f = FrameFaults::default();
         assert!(f.is_clean());
-        assert_eq!(drift_load(&f, FaultStage::Detection), 1.0);
+        assert_eq!(drift_load(&f, Component::Detection), 1.0);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! lock loss, latency spikes, stalled workers. This crate perturbs the
 //! workload stream and pipeline stages with a typed fault taxonomy so
 //! the supervisor layer in `adsim-core` can be exercised and measured.
+//! Per-stage faults (spikes, stalls, drift, crashes) name their stage
+//! with [`adsim_platform::Component`], the one stage type the platform
+//! model, the supervisor and the anytime governor share.
 //!
 //! Everything is driven by [`adsim_stats::Rng64`] and derived per
 //! frame from a single seed: the same `(seed, FaultConfig)` pair
@@ -30,7 +33,7 @@ mod config;
 mod corrupt;
 mod injector;
 
-pub use config::{FaultConfig, FaultStage};
+pub use config::FaultConfig;
 pub use corrupt::{blackout_frame, corrupt_pixels};
 pub use injector::{
     FaultClass, FaultEvent, FaultInjector, FaultKind, FrameFaults, InjectedCrash, PixelCorruption,

@@ -21,6 +21,13 @@
 //! See DESIGN.md ("Substitutions") for why this preserves the paper's
 //! conclusions.
 //!
+//! [`Component`] is also the workspace's one list of pipeline stages:
+//! fault injection (`adsim-faults`), the supervisor and the anytime
+//! governor (`adsim-core`) all name and index stages with it. It has
+//! two string forms, the paper abbreviation ([`Component::abbrev`],
+//! also its `Display`) and the lowercase telemetry key
+//! ([`Component::key`]).
+//!
 //! # Examples
 //!
 //! ```

@@ -5,7 +5,12 @@ use std::collections::HashMap;
 /// The pipeline components of Fig. 1. The first three are the
 /// computational bottlenecks (§3.2, >94 % of execution); fusion and
 /// motion planning are cheap and always run on the host CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// This is the workspace's one stage vocabulary: the fault injector,
+/// the supervisor and the anytime governor all name stages with it,
+/// and per-stage arrays are indexed by `component as usize`, which
+/// [`Component::ALL`] lists in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
     /// Object detection (DET, YOLO-style).
     Detection,
@@ -41,6 +46,18 @@ impl Component {
             Component::Localization => "LOC",
             Component::Fusion => "FUSION",
             Component::MotionPlanning => "MOTPLAN",
+        }
+    }
+
+    /// The lowercase telemetry key: the `stage` label of every
+    /// per-stage metric series.
+    pub fn key(self) -> &'static str {
+        match self {
+            Component::Detection => "det",
+            Component::Tracking => "tra",
+            Component::Localization => "loc",
+            Component::Fusion => "fus",
+            Component::MotionPlanning => "mot",
         }
     }
 }
@@ -351,6 +368,14 @@ mod tests {
     #[test]
     fn displays_match_paper_abbreviations() {
         assert_eq!(Component::Detection.to_string(), "DET");
+        assert_eq!(Component::Fusion.key(), "fus");
         assert_eq!(Platform::Fpga.to_string(), "FPGA");
+    }
+
+    #[test]
+    fn all_lists_components_in_index_order() {
+        for (i, c) in Component::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c}");
+        }
     }
 }

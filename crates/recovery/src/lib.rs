@@ -26,7 +26,8 @@
 //! fleet engine's byte-parity tests pin this at 1/2/8 workers with
 //! crashes injected.
 
-use adsim_faults::{FaultStage, InjectedCrash};
+use adsim_faults::InjectedCrash;
+use adsim_platform::Component;
 use std::any::Any;
 
 /// When to checkpoint and how many crash restarts to tolerate.
@@ -93,7 +94,7 @@ pub struct CrashRecord {
     /// Frame that crashed.
     pub frame: u64,
     /// Stage whose panic took the frame down.
-    pub stage: FaultStage,
+    pub stage: Component,
     /// Rendered panic payload (already truncated by the flight
     /// recorder's limit when it gets there; stored whole here).
     pub message: String,
@@ -254,7 +255,7 @@ mod tests {
     fn crash_records_render_for_the_ledger() {
         let r = CrashRecord {
             frame: 42,
-            stage: FaultStage::Detection,
+            stage: Component::Detection,
             message: "injected crash: DET stage panicked at frame 42".into(),
             resumed_from: 40,
             replayed: 2,
@@ -272,9 +273,9 @@ mod tests {
     #[test]
     fn describe_panic_extracts_typed_and_string_payloads() {
         let typed: Box<dyn Any + Send> =
-            Box::new(InjectedCrash { frame: 3, stage: FaultStage::Fusion });
+            Box::new(InjectedCrash { frame: 3, stage: Component::Fusion });
         let (msg, injected) = describe_panic(typed.as_ref());
-        assert_eq!(injected, Some(InjectedCrash { frame: 3, stage: FaultStage::Fusion }));
+        assert_eq!(injected, Some(InjectedCrash { frame: 3, stage: Component::Fusion }));
         assert!(msg.contains("FUSION"));
 
         let plain: Box<dyn Any + Send> = Box::new("index out of bounds");

@@ -308,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn max_and_argmax() {
+    fn max_returns_the_largest_element() {
         let t = Tensor::from_vec([4], vec![1.0, 9.0, 3.0, 9.0]).unwrap();
         assert_eq!(t.max(), 9.0);
     }

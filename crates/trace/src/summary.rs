@@ -183,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_sorts_hottest_first_and_gets_by_name() {
+    fn summary_sorts_hottest_first_and_renders_a_table() {
         let mut cold = LogHistogram::new();
         cold.record(1.0);
         let mut hot = LogHistogram::new();

@@ -5,8 +5,11 @@
 //! every trigger in the matrix (SafeStop, monitor trip, manual).
 
 use adsim::core::SupervisorConfig;
-use adsim::faults::{FaultConfig, FaultStage};
-use adsim::fleet::{run_cell, CellSpec, FleetAssets, FleetConfig, FleetEngine, RecoveryPolicy};
+use adsim::faults::FaultConfig;
+use adsim::fleet::{
+    run_cell, CellOutcome, CellSpec, FleetAssets, FleetConfig, FleetEngine, RecoveryPolicy,
+};
+use adsim::platform::Component;
 use adsim::telemetry::{prometheus_text, validate_prometheus, DumpTrigger, TelemetrySession};
 use adsim::workload::Resolution;
 
@@ -77,11 +80,9 @@ fn telemetry_on_vs_off_outputs_bit_identical() {
     }
 }
 
-/// A checkpoint restore rewinds the supervisor, never its telemetry:
-/// the frames a crash restart replays are counted again, and the crash
-/// and restart counters agree with the cell's own ledger.
-#[test]
-fn restore_does_not_rewind_telemetry() {
+/// A recorded run of a cell whose stages crash and restart from
+/// checkpoints.
+fn crashy_cell() -> CellOutcome {
     let assets = FleetAssets::urban(RES);
     let pipeline = FleetConfig::default().pipeline;
     let faults = FaultConfig { crash_rate: 0.08, ..FaultConfig::stress() };
@@ -90,11 +91,19 @@ fn restore_does_not_rewind_telemetry() {
     let session = TelemetrySession::begin();
     let (cell, _) = run_cell(&assets, &spec, &pipeline);
     session.finish();
+    cell
+}
 
+/// A checkpoint restore rewinds the supervisor, never its telemetry:
+/// the frames a crash restart replays are counted again, and the crash
+/// and restart counters agree with the cell's own ledger.
+#[test]
+fn restore_does_not_rewind_telemetry() {
+    let cell = crashy_cell();
     assert!(cell.restarts >= 1, "seed must restart at least once");
     assert!(cell.replayed_frames > cell.restarts, "a restart must replay settled frames");
     let by_stage = |metric| {
-        FaultStage::ALL.iter().map(|s| cell.telemetry.counter(metric, 0, s.label())).sum::<u64>()
+        Component::ALL.iter().map(|c| cell.telemetry.counter(metric, 0, c.key())).sum::<u64>()
     };
     assert_eq!(by_stage("sup_crash_total"), cell.crashes);
     assert_eq!(by_stage("sup_restart_total"), cell.restarts);
@@ -104,6 +113,28 @@ fn restore_does_not_rewind_telemetry() {
         cell.telemetry.counter("sup_frames_total", 0, ""),
         cell.frames + cell.replayed_frames - cell.restarts,
     );
+}
+
+/// Every per-stage series labels its stage with the same key, so a
+/// crash or restart counter joins the stage costs it interrupted.
+#[test]
+fn crash_counters_label_stages_like_stage_costs() {
+    let cell = crashy_cell();
+    let text = prometheus_text(&cell.telemetry);
+    let stages = |metric: &str| {
+        let prefix = format!("adsim_{metric}{{");
+        text.lines()
+            .filter_map(|line| line.strip_prefix(prefix.as_str()))
+            .filter_map(|labels| labels.split("stage=\"").nth(1)?.split('"').next())
+            .collect::<std::collections::BTreeSet<_>>()
+    };
+    let costs = stages("stage_virtual_ms");
+    assert_eq!(costs.len(), Component::ALL.len(), "stage costs: {costs:?}");
+    for metric in ["sup_crash_total", "sup_restart_total"] {
+        let labels = stages(metric);
+        assert!(!labels.is_empty(), "{metric} recorded no series");
+        assert!(labels.is_subset(&costs), "{metric} labels {labels:?} vs stage costs {costs:?}");
+    }
 }
 
 /// The fleet-merged registry is a pure function of the grid: 1, 2 and 8

@@ -119,7 +119,7 @@ fn panic_site_ledger_matches_the_committed_count() {
 /// and benches, or a doctest — or when it appears in the signature of
 /// one that is; everything else is `pub(crate)`, which this does not
 /// count. The count may only fall.
-const PUB_ITEMS: usize = 878;
+const PUB_ITEMS: usize = 876;
 
 /// Occurrences in `text` of `pub` followed by one of the counted
 /// declaration keywords, each as a whole word.
