@@ -24,8 +24,6 @@ fn main() {
             compare(s.p99_99, paper::fig6_tail_ms(c))
         );
     }
-    println!("\nLOC latency distribution (log of the relocalization spike mode):");
-    println!("{}", stats.localization.histogram(14).render(40));
     let e2e = stats.end_to_end.summary();
     println!("\nEnd-to-end: mean {:.0} ms, p99.99 {:.0} ms", e2e.mean, e2e.p99_99);
     println!("Every bottleneck individually exceeds the 100 ms constraint;");

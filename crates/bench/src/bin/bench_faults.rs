@@ -150,7 +150,7 @@ fn main() {
     // -- Determinism: same seed + config => identical event log. ------
     let deterministic = match &repro {
         Some((idx, first_log)) => {
-            let (second, _) = run_cell(engine.assets(), &specs[*idx], &engine.config().pipeline);
+            let second = run_cell(engine.assets(), &specs[*idx], &engine.config().pipeline);
             let ok = *first_log == second.sup_log;
             println!(
                 "\ndeterminism re-run ({} events): {}",

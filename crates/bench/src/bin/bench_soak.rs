@@ -257,7 +257,7 @@ fn main() {
         .enumerate()
         .find(|(_, c)| c.out.injected_data_faults > 0)
         .expect("grid has a data-bearing cell");
-    let (second_out, _) = run_cell(&assets, &specs[first_idx], &engine.config().pipeline);
+    let second_out = run_cell(&assets, &specs[first_idx], &engine.config().pipeline);
     let second = Cell { mix: first.mix, guard: first.guard, out: second_out };
     let deterministic = first.log() == second.log() && first.signature() == second.signature();
     println!(

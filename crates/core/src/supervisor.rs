@@ -76,15 +76,27 @@ impl DegradedMode {
         DegradedMode::QualityReduced,
     ];
 
+    /// The stable name (the `Display` string and the telemetry label)
+    /// and the trace instants of entering and leaving the mode, all
+    /// three built from the one name literal.
+    fn names(self) -> [&'static str; 3] {
+        macro_rules! names {
+            ($name:literal) => {
+                [$name, concat!("degrade.enter.", $name), concat!("degrade.exit.", $name)]
+            };
+        }
+        match self {
+            DegradedMode::TrackerOnly => names!("tracker-only"),
+            DegradedMode::DeadReckoning => names!("dead-reckoning"),
+            DegradedMode::SpeedReduced => names!("speed-reduced"),
+            DegradedMode::SafeStop => names!("safe-stop"),
+            DegradedMode::QualityReduced => names!("quality-reduced"),
+        }
+    }
+
     /// The stable name: the `Display` string and the telemetry label.
     fn name(self) -> &'static str {
-        match self {
-            DegradedMode::TrackerOnly => "tracker-only",
-            DegradedMode::DeadReckoning => "dead-reckoning",
-            DegradedMode::SpeedReduced => "speed-reduced",
-            DegradedMode::SafeStop => "safe-stop",
-            DegradedMode::QualityReduced => "quality-reduced",
-        }
+        self.names()[0]
     }
 }
 
@@ -316,7 +328,11 @@ pub struct RecoveryStats {
     pub safe_stop_frames: u64,
     /// Stage retries performed.
     pub retries: u64,
-    /// Frames whose reported latency missed the deadline.
+    /// Frames whose reported latency missed the deadline. On the
+    /// native [`Supervisor`] reported latency includes measured wall
+    /// clock, so this is the one field that can differ between two
+    /// runs of the same seed (it moves with host load); on
+    /// [`ModeledSupervisor`] every latency is sampled, and it is exact.
     pub deadline_misses: u64,
     /// Frames whose *virtual* end-to-end cost (nominal stage costs at
     /// the active quality level plus injected latency, before the
@@ -360,7 +376,9 @@ impl RecoveryStats {
         }
     }
 
-    /// Fraction of frames whose reported latency missed the deadline.
+    /// Fraction of frames whose reported latency missed the deadline:
+    /// wall-clock-dependent on the native [`Supervisor`], exact on
+    /// [`ModeledSupervisor`] (see [`RecoveryStats::deadline_misses`]).
     pub fn miss_rate(&self) -> f64 {
         if self.frames == 0 {
             0.0
@@ -512,18 +530,7 @@ struct SupervisorCore {
 /// changes show up on the Chrome-trace timeline next to the stage
 /// spans they interrupt.
 fn transition_instant(mode: DegradedMode, entered: bool) -> &'static str {
-    match (mode, entered) {
-        (DegradedMode::TrackerOnly, true) => "degrade.enter.tracker-only",
-        (DegradedMode::TrackerOnly, false) => "degrade.exit.tracker-only",
-        (DegradedMode::DeadReckoning, true) => "degrade.enter.dead-reckoning",
-        (DegradedMode::DeadReckoning, false) => "degrade.exit.dead-reckoning",
-        (DegradedMode::SpeedReduced, true) => "degrade.enter.speed-reduced",
-        (DegradedMode::SpeedReduced, false) => "degrade.exit.speed-reduced",
-        (DegradedMode::SafeStop, true) => "degrade.enter.safe-stop",
-        (DegradedMode::SafeStop, false) => "degrade.exit.safe-stop",
-        (DegradedMode::QualityReduced, true) => "degrade.enter.quality-reduced",
-        (DegradedMode::QualityReduced, false) => "degrade.exit.quality-reduced",
-    }
+    mode.names()[if entered { 1 } else { 2 }]
 }
 
 /// Packs a frame's injected faults into [`FrameRecord::fault_bits`].
@@ -1040,9 +1047,6 @@ pub struct SupervisedFrameResult {
     pub result: NativeFrameResult,
     /// What was injected this frame.
     pub faults: FrameFaults,
-    /// Reported latency: measured wall clock plus virtual fault
-    /// latency (spikes, stall retries, watchdog waits).
-    pub reported: FrameLatency,
     /// Modes active after this frame settled.
     pub modes: ActiveModes,
     /// What the safety guard counted this frame: the data-plane checks
@@ -1330,6 +1334,9 @@ impl Supervisor {
         let frame = faults.frame;
         let mut out = self.pipeline.process_with_det(&img, delivered_time_s, &ctrl, det_override);
 
+        // Reported latency: measured wall clock plus virtual fault
+        // latency (spikes, stall retries, watchdog waits). Only the
+        // deadline-miss count reads it.
         let reported = FrameLatency {
             detection: out.latency.detection + plan.extra.detection,
             tracking: out.latency.tracking + plan.extra.tracking,
@@ -1377,7 +1384,6 @@ impl Supervisor {
         let done = SupervisedFrameResult {
             result: out,
             faults,
-            reported,
             modes: self.core.active_modes(),
             guard: guard_delta(&marks.guard, self.guard.stats()),
         };
@@ -2001,6 +2007,16 @@ mod tests {
         assert!(!sup.events().is_empty());
         for e in sup.events() {
             assert!(e.to_string().starts_with("frame "));
+        }
+    }
+
+    #[test]
+    fn transition_instants_name_the_displayed_mode() {
+        for mode in DegradedMode::ALL {
+            for entered in [true, false] {
+                let dir = if entered { "enter" } else { "exit" };
+                assert_eq!(transition_instant(mode, entered), format!("degrade.{dir}.{mode}"));
+            }
         }
     }
 }

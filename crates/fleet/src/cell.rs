@@ -2,7 +2,6 @@
 //! shared-nothing pipeline state.
 
 use crate::assets::FleetAssets;
-use crate::sink::StageHistograms;
 use adsim_core::{
     GuardConfig, NativePipelineConfig, StagedFrame, SupervisedFrameResult, Supervisor,
     SupervisorCheckpoint, SupervisorConfig,
@@ -13,7 +12,6 @@ use adsim_recovery::{describe_panic, CrashAction, CrashRecord, RecoveryCoordinat
 use adsim_guard::{Digest, Hasher};
 use adsim_perception::metrics::{MotAccumulator, TruthBox};
 use adsim_planning::MotionPlan;
-use adsim_stats::Quantile;
 use adsim_telemetry::{FlightDump, MetricsRegistry};
 use adsim_workload::Frame;
 
@@ -76,12 +74,10 @@ impl CellSpec {
     }
 }
 
-/// Everything one cell produced. Every field except the wall-clock
-/// latency block ([`CellOutcome::p99_ms`], [`CellOutcome::miss_rate`])
-/// is a pure function of the spec, so the determinism tests pin
-/// [`CellOutcome::signature`] and the logs byte for byte across worker
+/// Everything one cell produced. Every field is a pure function of the
+/// spec, so the determinism tests compare whole outcomes across worker
 /// counts and steal orders.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellOutcome {
     /// The spec's label.
     pub label: String,
@@ -157,10 +153,6 @@ pub struct CellOutcome {
     /// FNV digest folded over every frame's deterministic outputs
     /// (detections, pose, tracks, plan, modes) — the byte-identity pin.
     pub output_digest: Digest,
-    /// Wall-clock deadline miss rate (excluded from the signature).
-    pub miss_rate: f64,
-    /// Wall-clock end-to-end p99 ms (excluded from the signature).
-    pub p99_ms: f64,
 }
 
 impl CellOutcome {
@@ -212,14 +204,13 @@ impl CellOutcome {
             dumps: Vec::new(),
             telemetry: MetricsRegistry::new(),
             output_digest: Hasher::new().finish(),
-            miss_rate: 0.0,
-            p99_ms: 0.0,
         }
     }
 
-    /// Every deterministic field, rendered. Wall-clock-derived values
-    /// (`p99_ms`, `miss_rate`) are the only exclusions; two runs of the
-    /// same spec must compare equal on any worker count.
+    /// The outcome rendered without its checkpoint counters
+    /// (`checkpoints`, `checkpoint_bytes`) and telemetry, with logs and
+    /// dumps reduced to their lengths: two runs of the same cell
+    /// compare equal with checkpointing on or off.
     pub fn signature(&self) -> String {
         format!(
             "{} {:#x} frames={} injected={} detected={} recovered={} trips={} uncaught={} \
@@ -319,8 +310,6 @@ fn fold_frame(h: &mut Hasher, out: &SupervisedFrameResult) {
 pub(crate) struct CellRun {
     spec: CellSpec,
     sup: Supervisor,
-    hists: StageHistograms,
-    e2e: adsim_stats::LatencyRecorder,
     digest: Hasher,
     mot: MotAccumulator,
     injected: u64,
@@ -340,8 +329,6 @@ pub(crate) struct CellRun {
 #[derive(Clone)]
 pub(crate) struct CellCheckpoint {
     sup: SupervisorCheckpoint,
-    hists: StageHistograms,
-    e2e: adsim_stats::LatencyRecorder,
     digest: Hasher,
     mot: MotAccumulator,
     injected: u64,
@@ -355,11 +342,9 @@ impl CellCheckpoint {
     }
 
     /// Rough deterministic footprint: the supervisor checkpoint's
-    /// estimate plus the fold accumulators' fixed-size state.
+    /// estimate.
     pub(crate) fn approx_bytes(&self) -> usize {
         self.sup.approx_bytes()
-            + std::mem::size_of::<StageHistograms>()
-            + self.e2e.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -373,12 +358,9 @@ impl CellRun {
     ) -> Self {
         let sup =
             assets.supervisor(spec.seed, spec.faults.clone(), spec.supervisor.clone(), pipeline);
-        let e2e = adsim_stats::LatencyRecorder::with_capacity(spec.frames);
         Self {
             spec,
             sup,
-            hists: StageHistograms::new(),
-            e2e,
             digest: Hasher::new(),
             mot: MotAccumulator::new(MOT_IOU),
             injected: 0,
@@ -404,8 +386,6 @@ impl CellRun {
     pub(crate) fn checkpoint(&self) -> CellCheckpoint {
         CellCheckpoint {
             sup: self.sup.checkpoint(),
-            hists: self.hists.clone(),
-            e2e: self.e2e.clone(),
             digest: self.digest,
             mot: self.mot.clone(),
             injected: self.injected,
@@ -417,8 +397,6 @@ impl CellRun {
     /// containment ledger is untouched — crashes stay recorded.
     pub(crate) fn restore(&mut self, ck: &CellCheckpoint) {
         self.sup.restore(&ck.sup);
-        self.hists = ck.hists.clone();
-        self.e2e = ck.e2e.clone();
         self.digest = ck.digest;
         self.mot = ck.mot.clone();
         self.injected = ck.injected;
@@ -481,8 +459,6 @@ impl CellRun {
     /// Folds one finished frame into every accumulator — identical
     /// bookkeeping for the inline and batched paths.
     fn observe(&mut self, frame: &Frame, out: SupervisedFrameResult) {
-        self.hists.record(&out.reported);
-        self.e2e.record(out.reported.end_to_end());
         fold_frame(&mut self.digest, &out);
         let truth: Vec<TruthBox> = frame
             .truth_objects
@@ -510,10 +486,10 @@ impl CellRun {
 
     /// Closes the run, moving the supervisor's dumps and telemetry into
     /// the outcome.
-    pub(crate) fn into_outcome(mut self) -> (CellOutcome, StageHistograms) {
+    pub(crate) fn into_outcome(mut self) -> CellOutcome {
         let stats = self.sup.recovery_stats();
         let gs = *self.sup.guard_stats();
-        let outcome = CellOutcome {
+        CellOutcome {
             label: self.spec.label.clone(),
             seed: self.spec.seed,
             frames: stats.frames,
@@ -545,17 +521,12 @@ impl CellRun {
             dumps: self.sup.take_flight_dumps(),
             telemetry: self.sup.take_telemetry(),
             output_digest: self.digest.finish(),
-            miss_rate: stats.miss_rate(),
-            p99_ms: self.e2e.quantile(Quantile::P99),
-        };
-        (outcome, self.hists)
+        }
     }
 }
 
 /// Runs one cell to completion: shared-nothing supervisor state over
-/// the campaign's shared map and weights. Returns the deterministic
-/// outcome plus this cell's wall-clock stage histograms (streamed into
-/// the fleet sink by the engine, never buffered per cell).
+/// the campaign's shared map and weights.
 ///
 /// Injected stage crashes are contained here, at the cell boundary:
 /// with a [`RecoveryPolicy`] on the spec the cell restores its newest
@@ -567,7 +538,7 @@ pub fn run_cell(
     assets: &FleetAssets,
     spec: &CellSpec,
     pipeline: &NativePipelineConfig,
-) -> (CellOutcome, StageHistograms) {
+) -> CellOutcome {
     let mut run = CellRun::new(assets, spec.clone(), pipeline);
     drive_cell(assets, &mut run);
     run.into_outcome()

@@ -44,12 +44,14 @@ impl FleetConfig {
 
 /// A finished campaign: per-cell outcomes in **spec order** (never
 /// completion order — slot `i` always holds spec `i`'s outcome, so
-/// steal order cannot leak into results) plus the streamed fleet sink.
+/// steal order cannot leak into results) plus their fleet-level sums.
+/// Every field except `wall_s` and `workers` is a pure function of the
+/// specs.
 #[derive(Debug)]
 pub struct CampaignResult {
     /// One outcome per input spec, index-aligned.
     pub outcomes: Vec<CellOutcome>,
-    /// Fleet-level aggregation (merged stage histograms, counters).
+    /// Fleet-level counters: the outcomes' sum.
     pub sink: FleetSink,
     /// Fleet-merged telemetry registry: per-cell registries folded in
     /// **spec order** (histogram sums are f64 — order matters for byte
@@ -63,8 +65,25 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// The deterministic signatures of every cell, in spec order — the
-    /// value the parity tests compare across worker counts.
+    /// Assembles a campaign from its spec-order outcomes: the sink and
+    /// the merged registry are both folds over them in spec order.
+    fn new(outcomes: Vec<CellOutcome>, start: Instant, workers: usize) -> Self {
+        let mut telemetry = MetricsRegistry::new();
+        for outcome in &outcomes {
+            telemetry.merge(&outcome.telemetry);
+        }
+        telemetry.sort();
+        Self {
+            sink: FleetSink::sum(&outcomes),
+            telemetry,
+            outcomes,
+            wall_s: start.elapsed().as_secs_f64(),
+            workers,
+        }
+    }
+
+    /// Every cell's [`CellOutcome::signature`], in spec order: what the
+    /// benches compare across worker counts and checkpoint schedules.
     pub fn signatures(&self) -> Vec<String> {
         self.outcomes.iter().map(|c| c.signature()).collect()
     }
@@ -75,18 +94,17 @@ impl CampaignResult {
 ///
 /// Each cell owns its pipeline, supervisor, injector and map overlay
 /// (shared-nothing mutable state); the prior map and DNN weights are
-/// `Arc`-shared read-only across all of them. Finished cells stream
-/// their latency histograms into a fleet-level [`FleetSink`] under a
-/// mutex held only for the merge — never while a cell runs.
+/// `Arc`-shared read-only across all of them. Each finished cell writes
+/// only its own result slot; the fleet-level [`FleetSink`] is summed
+/// from the slots once every cell is done.
 ///
 /// # Determinism
 ///
 /// A cell's outcome is a pure function of its spec: the supervisor's
 /// watchdog runs on injected *virtual* latency, so wall clock — and
-/// therefore worker count, steal order and scheduling jitter — can
-/// only affect the reported latency histograms, never the outputs,
-/// logs or counters. The fleet parity tests pin this: 1, 2 and 8
-/// workers produce byte-identical [`CellOutcome::signature`]s and logs.
+/// therefore worker count, steal order and scheduling jitter — never
+/// reaches the outputs, logs or counters. The fleet parity tests pin
+/// this: 1, 2 and 8 workers produce equal [`CellOutcome`]s and sinks.
 ///
 /// # Examples
 ///
@@ -129,10 +147,9 @@ impl FleetEngine {
     }
 
     /// Runs every spec to completion and returns outcomes in spec
-    /// order plus the streamed fleet aggregation.
+    /// order plus their fleet-level sums.
     pub fn run(&self, specs: &[CellSpec]) -> CampaignResult {
         let start = Instant::now();
-        let sink = Mutex::new(FleetSink::new());
         // Per-spec result slots: each cell writes its own index, so
         // completion order (which *does* vary with stealing) never
         // reorders results.
@@ -151,18 +168,15 @@ impl FleetEngine {
             // to a poisoned outcome so the campaign still completes
             // with every other cell's results intact — the poisoned
             // cell's `uncaught = 1` keeps the breach visible.
-            let (outcome, hists) = match std::panic::catch_unwind(
-                std::panic::AssertUnwindSafe(|| run_cell(&self.assets, &spec, &self.cfg.pipeline)),
-            ) {
+            let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_cell(&self.assets, &spec, &self.cfg.pipeline)
+            })) {
                 Ok(done) => done,
                 Err(payload) => {
                     let (msg, _) = adsim_recovery::describe_panic(payload.as_ref());
-                    (CellOutcome::poisoned(&spec, &msg), crate::sink::StageHistograms::new())
+                    CellOutcome::poisoned(&spec, &msg)
                 }
             };
-            // Stream the cell's tails into the fleet sink, then drop
-            // them — only the fixed-size fleet histograms survive.
-            sink.lock().expect("fleet sink poisoned").absorb(&outcome, &hists);
             *slots[i].lock().expect("cell slot poisoned") = Some(outcome);
         });
         let outcomes: Vec<CellOutcome> = slots
@@ -173,24 +187,7 @@ impl FleetEngine {
                     .expect("runtime ran every task to completion")
             })
             .collect();
-        CampaignResult {
-            telemetry: Self::merge_telemetry(&outcomes),
-            outcomes,
-            sink: sink.into_inner().expect("fleet sink poisoned"),
-            wall_s: start.elapsed().as_secs_f64(),
-            workers: self.cfg.workers,
-        }
-    }
-
-    /// Folds per-cell registries in spec order — never completion order,
-    /// where steal timing would perturb f64 histogram sums.
-    fn merge_telemetry(outcomes: &[CellOutcome]) -> MetricsRegistry {
-        let mut merged = MetricsRegistry::new();
-        for outcome in outcomes {
-            merged.merge(&outcome.telemetry);
-        }
-        merged.sort();
-        merged
+        CampaignResult::new(outcomes, start, self.cfg.workers)
     }
 
     /// [`FleetEngine::run`] with cross-vehicle batched DNN inference.
@@ -264,42 +261,23 @@ impl FleetEngine {
                 cells[i].complete(&frame, sf, det);
             }
         }
-        let mut sink = FleetSink::new();
-        let mut outcomes = Vec::with_capacity(specs.len());
-        for cell in cells {
-            let (outcome, hists) = cell.into_outcome();
-            sink.absorb(&outcome, &hists);
-            outcomes.push(outcome);
-        }
-        let result = CampaignResult {
-            telemetry: Self::merge_telemetry(&outcomes),
-            outcomes,
-            sink,
-            wall_s: start.elapsed().as_secs_f64(),
-            workers: self.cfg.workers,
-        };
-        (result, service.stats())
+        let outcomes = cells.into_iter().map(CellRun::into_outcome).collect();
+        (CampaignResult::new(outcomes, start, self.cfg.workers), service.stats())
     }
 
     /// [`FleetEngine::run`] on a single in-place worker — the serial
     /// reference the parity tests compare fleet runs against.
     pub fn run_serial(&self, specs: &[CellSpec]) -> CampaignResult {
         let start = Instant::now();
-        let mut sink = FleetSink::new();
-        let mut outcomes = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let mut spec = spec.clone();
-            spec.supervisor.vehicle = i as u32;
-            let (outcome, hists) = run_cell(&self.assets, &spec, &self.cfg.pipeline);
-            sink.absorb(&outcome, &hists);
-            outcomes.push(outcome);
-        }
-        CampaignResult {
-            telemetry: Self::merge_telemetry(&outcomes),
-            outcomes,
-            sink,
-            wall_s: start.elapsed().as_secs_f64(),
-            workers: 1,
-        }
+        let outcomes = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let mut spec = spec.clone();
+                spec.supervisor.vehicle = i as u32;
+                run_cell(&self.assets, &spec, &self.cfg.pipeline)
+            })
+            .collect();
+        CampaignResult::new(outcomes, start, 1)
     }
 }

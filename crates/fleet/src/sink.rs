@@ -1,70 +1,15 @@
-//! The streaming fleet-level result sink.
-
-use adsim_core::FrameLatency;
-use adsim_trace::LogHistogram;
+//! The fleet-level result counters.
 
 use crate::cell::CellOutcome;
 
-/// Per-stage latency histograms for one cell or a whole fleet.
-///
-/// Fixed memory per instance (`LogHistogram` is bucket-counted), so a
-/// campaign of thousands of cells aggregates tails in constant space:
-/// each finished cell's histograms merge into the fleet's and are
-/// dropped — no per-cell sample buffers survive the cell.
-#[derive(Debug, Clone, Default)]
-pub struct StageHistograms {
-    /// Object detection (DET).
-    pub detection: LogHistogram,
-    /// Object tracking (TRA).
-    pub tracking: LogHistogram,
-    /// Localization (LOC).
-    pub localization: LogHistogram,
-    /// Sensor fusion.
-    pub fusion: LogHistogram,
-    /// Motion planning.
-    pub motion_planning: LogHistogram,
-    /// End-to-end critical path.
-    pub end_to_end: LogHistogram,
-}
-
-impl StageHistograms {
-    /// Empty histograms.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one frame's reported stage latencies.
-    pub(crate) fn record(&mut self, lat: &FrameLatency) {
-        self.detection.record(lat.detection);
-        self.tracking.record(lat.tracking);
-        self.localization.record(lat.localization);
-        self.fusion.record(lat.fusion);
-        self.motion_planning.record(lat.motion_planning);
-        self.end_to_end.record(lat.end_to_end());
-    }
-
-    /// Bucket-wise merge of another cell's histograms into this one.
-    pub(crate) fn merge(&mut self, other: &StageHistograms) {
-        self.detection.merge(&other.detection);
-        self.tracking.merge(&other.tracking);
-        self.localization.merge(&other.localization);
-        self.fusion.merge(&other.fusion);
-        self.motion_planning.merge(&other.motion_planning);
-        self.end_to_end.merge(&other.end_to_end);
-    }
-}
-
-/// Fleet-level aggregation, updated as each cell finishes rather than
-/// after the campaign ends. Holds merged per-stage histograms (fleet
-/// p50/p95/p99/p99.99 across every vehicle's every frame) plus campaign
-/// counters.
-#[derive(Debug, Clone, Default)]
+/// Fleet-level campaign counters: the sum of every cell's outcome,
+/// taken in spec order once the campaign ends. Like each
+/// [`CellOutcome`], a pure function of the specs.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSink {
-    /// Merged per-stage latency histograms across all finished cells.
-    pub stages: StageHistograms,
-    /// Cells finished so far.
+    /// Cells finished.
     pub cells: u64,
-    /// Frames processed across all finished cells.
+    /// Frames processed across all cells.
     pub frames: u64,
     /// Injected data-plane faults across the fleet.
     pub injected_data_faults: u64,
@@ -89,26 +34,23 @@ pub struct FleetSink {
 }
 
 impl FleetSink {
-    /// An empty sink.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one finished cell: counters from the outcome, latency
-    /// tails from the cell's histograms (which the caller then drops).
-    pub(crate) fn absorb(&mut self, outcome: &CellOutcome, hists: &StageHistograms) {
-        self.stages.merge(hists);
-        self.cells += 1;
-        self.frames += outcome.frames;
-        self.injected_data_faults += outcome.injected_data_faults;
-        self.detected_data_faults += outcome.detected_data_faults;
-        self.uncaught += outcome.uncaught;
-        self.safe_stops += outcome.safe_stops;
-        self.episodes += outcome.episodes;
-        self.quality_switches += outcome.quality_switches;
-        self.crashes += outcome.crashes;
-        self.restarts += outcome.restarts;
-        self.replayed_frames += outcome.replayed_frames;
-        self.quarantined += outcome.quarantined as u64;
+    /// Sums the counters of every outcome.
+    pub(crate) fn sum(outcomes: &[CellOutcome]) -> Self {
+        let mut sink = Self::default();
+        for outcome in outcomes {
+            sink.cells += 1;
+            sink.frames += outcome.frames;
+            sink.injected_data_faults += outcome.injected_data_faults;
+            sink.detected_data_faults += outcome.detected_data_faults;
+            sink.uncaught += outcome.uncaught;
+            sink.safe_stops += outcome.safe_stops;
+            sink.episodes += outcome.episodes;
+            sink.quality_switches += outcome.quality_switches;
+            sink.crashes += outcome.crashes;
+            sink.restarts += outcome.restarts;
+            sink.replayed_frames += outcome.replayed_frames;
+            sink.quarantined += outcome.quarantined as u64;
+        }
+        sink
     }
 }

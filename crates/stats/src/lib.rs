@@ -4,8 +4,9 @@
 //! evaluated on *tail latency* — high quantiles such as the 99th or
 //! 99.99th percentile — rather than mean latency, because the processing
 //! fails if it does not complete within a deadline. This crate provides
-//! the sample recorder, exact quantile estimation, histograms and summary
-//! formatting used by every experiment in the workspace.
+//! the sample recorder, exact quantile estimation and summary formatting
+//! used by every experiment in the workspace, plus the seeded RNG the
+//! modeled pipeline and the property tests draw from.
 //!
 //! # Examples
 //!
@@ -20,12 +21,10 @@
 //! assert!(summary.mean < summary.p99_99);
 //! ```
 
-mod histogram;
 mod recorder;
 pub mod rng;
 mod summary;
 
-pub use histogram::{Histogram, HistogramBin};
 pub use recorder::LatencyRecorder;
 pub use rng::Rng64;
 pub use summary::LatencySummary;

@@ -1,4 +1,4 @@
-use crate::{Histogram, LatencySummary, Quantile};
+use crate::{LatencySummary, Quantile};
 
 /// Collects latency samples (in milliseconds) and computes exact
 /// order statistics over them.
@@ -133,11 +133,6 @@ impl LatencyRecorder {
             p99_99: this.quantile(Quantile::P99_99),
             max: this.max(),
         }
-    }
-
-    /// Builds a histogram over the samples with `bins` equal-width bins.
-    pub fn histogram(&self, bins: usize) -> Histogram {
-        Histogram::from_samples(&self.samples, bins)
     }
 
     fn ensure_sorted(&mut self) {

@@ -82,16 +82,3 @@ fn insertion_order_is_irrelevant() {
     ]);
     cases(128, |rng| check(samples(rng, 2..100, 100.0)));
 }
-
-#[test]
-fn histogram_conserves_samples() {
-    cases(128, |rng| {
-        let samples = samples(rng, 0..200, 50.0);
-        let bins = rng.range_usize(1, 16);
-        let rec: LatencyRecorder = samples.iter().copied().collect();
-        let h = rec.histogram(bins);
-        assert_eq!(h.total(), samples.len());
-        let counted: usize = h.bins().iter().map(|b| b.count).sum();
-        assert_eq!(counted, samples.len());
-    });
-}

@@ -45,7 +45,7 @@ pub(crate) enum SeriesValue {
 
 /// A set of metric series. Plain owned data: a supervisor records into
 /// its own registry, and a fleet merges the per-vehicle registries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     series: Vec<(SeriesKey, SeriesValue)>,
 }

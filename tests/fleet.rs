@@ -1,7 +1,6 @@
-//! Fleet campaign engine guarantees: per-cell outputs are byte-identical
-//! between the serial reference and work-stealing fleet runs at any
-//! worker count, the streamed sink matches serial aggregation exactly
-//! on its deterministic counters, and weight sharing survives a real
+//! Fleet campaign engine guarantees: per-cell outcomes and the fleet
+//! sink are equal between the serial reference and work-stealing fleet
+//! runs at any worker count, and weight sharing survives a real
 //! campaign (cells never detach the shared model storage).
 
 use adsim::core::{DetectorKind, GuardConfig, NativePipelineConfig, SupervisorConfig, TrackerKind};
@@ -55,41 +54,16 @@ fn fleet_outputs_byte_identical_across_worker_counts() {
     for workers in [1usize, 2, 8] {
         let run = FleetEngine::new(assets.clone(), FleetConfig::with_workers(workers)).run(&grid);
         assert_eq!(run.workers, workers);
-        assert_eq!(
-            run.signatures(),
-            reference.signatures(),
-            "cell signatures diverged at {workers} workers"
-        );
-        for (got, want) in run.outcomes.iter().zip(&reference.outcomes) {
-            assert_eq!(got.label, want.label, "spec order lost at {workers} workers");
-            assert_eq!(got.sup_log, want.sup_log, "degradation log diverged: {}", got.label);
-            assert_eq!(got.guard_log, want.guard_log, "guard log diverged: {}", got.label);
-            assert_eq!(
-                got.output_digest, want.output_digest,
-                "frame outputs diverged: {}",
-                got.label
-            );
-        }
-        // The streamed sink is a merge of per-cell histograms plus
-        // deterministic counters; everything except wall-clock-derived
-        // bucket contents must match serial aggregation exactly.
-        assert_eq!(run.sink.cells, reference.sink.cells);
-        assert_eq!(run.sink.frames, reference.sink.frames);
-        assert_eq!(run.sink.injected_data_faults, reference.sink.injected_data_faults);
-        assert_eq!(run.sink.detected_data_faults, reference.sink.detected_data_faults);
-        assert_eq!(run.sink.uncaught, reference.sink.uncaught);
-        assert_eq!(run.sink.safe_stops, reference.sink.safe_stops);
-        assert_eq!(run.sink.episodes, reference.sink.episodes);
-        // Every recorded frame landed in the merged end-to-end histogram.
-        assert_eq!(run.sink.stages.end_to_end.count(), run.sink.frames);
+        assert_eq!(run.outcomes, reference.outcomes, "cell outcomes diverged at {workers} workers");
+        assert_eq!(run.sink, reference.sink, "fleet sink diverged at {workers} workers");
     }
 }
 
-/// The tentpole guarantee: a campaign served by cross-vehicle batched
-/// DNN inference reproduces the unbatched campaign byte for byte —
-/// signatures, logs, output digests, per-cell telemetry and the fleet
-/// merge — on any batch-runtime worker count, while actually sharing
-/// forward passes across vehicles.
+/// A campaign served by cross-vehicle batched DNN inference reproduces
+/// the unbatched campaign exactly — every cell outcome (per-cell
+/// telemetry included), the fleet sink and the fleet telemetry merge —
+/// on any batch-runtime worker count, while actually sharing forward
+/// passes across vehicles.
 #[test]
 fn batched_campaign_matches_unbatched_byte_for_byte() {
     let assets = FleetAssets::urban(RES);
@@ -112,38 +86,14 @@ fn batched_campaign_matches_unbatched_byte_for_byte() {
             "same-variant cells never shared a forward pass: {stats:?}"
         );
         assert_eq!(
-            run.signatures(),
-            reference.signatures(),
-            "batched signatures diverged at {workers} workers"
+            run.outcomes, reference.outcomes,
+            "batched outcomes diverged at {workers} workers"
         );
-        for (got, want) in run.outcomes.iter().zip(&reference.outcomes) {
-            assert_eq!(got.sup_log, want.sup_log, "degradation log diverged: {}", got.label);
-            assert_eq!(got.guard_log, want.guard_log, "guard log diverged: {}", got.label);
-            assert_eq!(got.gov_log, want.gov_log, "governor log diverged: {}", got.label);
-            assert_eq!(
-                got.output_digest, want.output_digest,
-                "frame outputs diverged: {}",
-                got.label
-            );
-            assert_eq!(
-                got.telemetry.snapshot_json(),
-                want.telemetry.snapshot_json(),
-                "per-cell telemetry diverged: {}",
-                got.label
-            );
-        }
+        assert_eq!(run.sink, reference.sink, "batched sink diverged at {workers} workers");
         assert_eq!(
-            run.telemetry.snapshot_json(),
-            reference.telemetry.snapshot_json(),
+            run.telemetry, reference.telemetry,
             "fleet-merged telemetry diverged at {workers} workers"
         );
-        assert_eq!(run.sink.cells, reference.sink.cells);
-        assert_eq!(run.sink.frames, reference.sink.frames);
-        assert_eq!(run.sink.injected_data_faults, reference.sink.injected_data_faults);
-        assert_eq!(run.sink.detected_data_faults, reference.sink.detected_data_faults);
-        assert_eq!(run.sink.uncaught, reference.sink.uncaught);
-        assert_eq!(run.sink.safe_stops, reference.sink.safe_stops);
-        assert_eq!(run.sink.episodes, reference.sink.episodes);
     }
 }
 

@@ -45,11 +45,11 @@ fn telemetry_on_vs_off_outputs_bit_identical() {
     let pipeline = FleetConfig::default().pipeline;
 
     let session = TelemetrySession::begin();
-    let on: Vec<_> = specs().iter().map(|s| run_cell(&assets, s, &pipeline).0).collect();
+    let on: Vec<_> = specs().iter().map(|s| run_cell(&assets, s, &pipeline)).collect();
     session.finish();
 
     let session = TelemetrySession::quiesced();
-    let off: Vec<_> = specs().iter().map(|s| run_cell(&assets, s, &pipeline).0).collect();
+    let off: Vec<_> = specs().iter().map(|s| run_cell(&assets, s, &pipeline)).collect();
     drop(session);
 
     for (a, b) in on.iter().zip(&off) {
@@ -89,7 +89,7 @@ fn crashy_cell() -> CellOutcome {
     let spec = CellSpec::new("crashy", faults, 0xC4A5, FRAMES)
         .with_recovery(RecoveryPolicy::new(4, 8));
     let session = TelemetrySession::begin();
-    let (cell, _) = run_cell(&assets, &spec, &pipeline);
+    let cell = run_cell(&assets, &spec, &pipeline);
     session.finish();
     cell
 }
@@ -182,7 +182,7 @@ fn stress_cell_dumps_on_safe_stop_and_monitor_trip() {
     let pipeline = FleetConfig::default().pipeline;
     let spec = CellSpec::new("stress", FaultConfig::stress(), 0x5EED3, FRAMES);
     let session = TelemetrySession::quiesced();
-    let (outcome, _) = run_cell(&assets, &spec, &pipeline);
+    let outcome = run_cell(&assets, &spec, &pipeline);
     drop(session);
 
     let triggers: Vec<DumpTrigger> = outcome.dumps.iter().map(|d| d.trigger).collect();

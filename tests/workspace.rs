@@ -68,7 +68,7 @@ fn default_members_cover_the_root_and_every_crate() {
 /// `crates/*/src/**/*.rs`: each file's text before its first
 /// `#[cfg(test)]`. The count may only move with this constant, so
 /// every added or removed panic site shows in review.
-const PANIC_SITES: usize = 104;
+const PANIC_SITES: usize = 102;
 
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -119,7 +119,7 @@ fn panic_site_ledger_matches_the_committed_count() {
 /// and benches, or a doctest — or when it appears in the signature of
 /// one that is; everything else is `pub(crate)`, which this does not
 /// count. The count may only fall.
-const PUB_ITEMS: usize = 876;
+const PUB_ITEMS: usize = 867;
 
 /// Occurrences in `text` of `pub` followed by one of the counted
 /// declaration keywords, each as a whole word.
